@@ -17,14 +17,35 @@ from .errors import UnsupportedFieldError, UsageError
 Index = Hashable
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound,
+# the least number that is a strong pseudoprime to all of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; raises UsageError for p >= _MR_LIMIT."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    if p >= _MR_LIMIT:
+        raise UsageError(f"primality of {p} is not decided: fields need p < {_MR_LIMIT}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False  # a witnesses that p is composite
     return True
 
 
@@ -230,13 +251,13 @@ def _echelonize(field: Field, dense: list) -> tuple[list, list]:
     return dense, pivots
 
 
-def _solve_dense(field: Field, rows: list, rhs: list):
-    """Solve the dense system; returns (particular, kernel basis) or None.
+def _solve_dense(field: Field, rows: list, rhs: list, nc: int):
+    """Solve the dense system in nc unknowns; returns (particular, kernel
+    basis) or None.
 
     Free variables are set to zero in the particular solution; the kernel
     basis has one vector per free column.
     """
-    nc = len(rows[0]) if rows else 0
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     if not aug:
         # no equations: everything is free
@@ -276,7 +297,7 @@ def gauss_solve(M: Matrix, b: Vector):
         raise UsageError("b must be indexed by the rows of M")
     dense = M.to_dense()
     rhs = [b.get(r) for r in M.rows]
-    res = _solve_dense(M.field, dense, rhs)
+    res = _solve_dense(M.field, dense, rhs, len(M.cols))
     if res is None:
         return None
     part, kernel = res
@@ -308,7 +329,7 @@ def gram_solvable(M: Matrix, b: Vector) -> bool:
     # columns of N are the Krylov vectors; b in span(N) iff N.x = b solvable
     rows = [[kv.get(r) for kv in krylov] for r in M.rows]
     rhs = [b.get(r) for r in M.rows]
-    return _solve_dense(M.field, rows, rhs) is not None
+    return _solve_dense(M.field, rows, rhs, len(krylov)) is not None
 
 
 def kernel_generators(M: Matrix) -> Matrix:
@@ -336,7 +357,7 @@ def kernel_generators(M: Matrix) -> Matrix:
             row[m:] = cdense[i][:]
             rows.append(row)
         rhs = [zero] * m + [one if i == j else zero for i in range(m)]
-        res = _solve_dense(f, rows, rhs)
+        res = _solve_dense(f, rows, rhs, 2 * m)
         if res is None:  # cannot happen: Q^J = ker(C) + im(C)
             raise AssertionError("projection system unsolvable")
         part = res[0]

@@ -30,6 +30,17 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _parse_json(text: str, path: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path} is not JSON: {exc}") from exc
+
+
+def _read_json(path: str):
+    return _parse_json(_read(path), path)
+
+
 def _emit(obj, out: str | None = None) -> None:
     text = json.dumps(obj, indent=1, default=str) + "\n"
     if out:
@@ -46,8 +57,8 @@ def _verdict_exit(refuted: bool) -> int:
 def _parse_field(text: str) -> algebra.Field:
     if text in ("Q", "q"):
         return algebra.RATIONALS
-    if text.startswith("Fp:"):
-        return algebra.Field(int(text.split(":", 1)[1]))
+    if text.startswith("Fp:") and text[3:].strip().isdecimal():
+        return algebra.Field(int(text[3:]))
     raise UsageError(f"field must be Q or Fp:<prime>, got {text!r}")
 
 
@@ -69,7 +80,7 @@ def _load_config(path: str | None) -> dict:
 def _load_graph(path: str) -> wl.ColoredGraph:
     text = _read(path)
     if text.lstrip().startswith("{"):
-        obj = json.loads(text)
+        obj = _parse_json(text, path)
         return wl.ColoredGraph(obj["n"], obj.get("colors"),
                                {name: [tuple(p) for p in pairs]
                                 for name, pairs in obj.get("relations", {}).items()})
@@ -120,7 +131,7 @@ def cmd_res(args) -> int:
 
 
 def cmd_pc(args) -> int:
-    system = pc.loads_system(_read(args.system))
+    system = pc.system_from_json(_read_json(args.system))
     if args.field is not None and _parse_field(args.field) != system.field:
         raise UsageError(f"--field {args.field} does not match the system's field {system.field}")
     saturate = pc.ENGINES[args.engine]
@@ -131,7 +142,7 @@ def cmd_pc(args) -> int:
 
 
 def cmd_min_degree(args) -> int:
-    system = pc.loads_system(_read(args.system))
+    system = pc.system_from_json(_read_json(args.system))
     k = pc.min_refutation_degree(system, args.engine, args.k_max)
     _emit({"min_degree": k, "k_max": args.k_max, "engine": args.engine})
     return _verdict_exit(k is not None)
@@ -147,7 +158,10 @@ def cmd_wl(args) -> int:
 def cmd_cfi(args) -> int:
     base = _base_graph(args.base)
     if args.action == "gen":
-        lam = [int(x) for x in args.load.split(",")] if args.load else [0] * base.n
+        try:
+            lam = [int(x) for x in args.load.split(",")] if args.load else [0] * base.n
+        except ValueError:
+            raise UsageError(f"--load must be comma-separated integers, got {args.load!r}") from None
         s = cfi.build_cfi(base, args.p, lam)
         _emit({"meta": cfi.structure_meta(s),
                "structure": logic.structure_to_json(cfi.to_rel_structure(s))}, args.out)
@@ -168,7 +182,7 @@ def cmd_cfi(args) -> int:
 
 
 def cmd_game(args) -> int:
-    g = games.game_from_json(json.loads(_read(args.game)))
+    g = games.game_from_json(_read_json(args.game))
     if args.action == "solve":
         w0, w1 = games.solve_threshold_game(g)
         _emit({"w0": sorted(w0), "w1": sorted(w1)})
@@ -181,8 +195,8 @@ def cmd_game(args) -> int:
 
 
 def cmd_csp(args) -> int:
-    a = logic.structure_from_json(json.loads(_read(args.instance)))
-    t = logic.structure_from_json(json.loads(_read(args.template)))
+    a = logic.structure_from_json(_read_json(args.instance))
+    t = logic.structure_from_json(_read_json(args.template))
     if args.action == "check":
         verdict = encoders.k_consistency(a, t, args.k, all_subsets=args.all_subsets)
         _emit({"consistent": verdict, "k": args.k})
@@ -195,7 +209,7 @@ def cmd_csp(args) -> int:
 
 
 def cmd_lfp(args) -> int:
-    a = logic.structure_from_json(json.loads(_read(args.structure)))
+    a = logic.structure_from_json(_read_json(args.structure))
     params = {}
     for binding in args.param or []:
         name, value = binding.split("=", 1)

@@ -36,6 +36,22 @@ def _cell_worker(queue, func, args):
         queue.put(("error", f"{type(exc).__name__}: {exc}"))
 
 
+def _drain(queue, acc: dict) -> None:
+    """Merge the messages waiting on a cell's queue into its result."""
+    while True:
+        try:
+            msg = queue.get_nowait()
+        except Exception:
+            return
+        if msg[0] == "progress":
+            acc.update(msg[1])
+        elif msg[0] == "error":
+            acc["status"] = "error"
+            acc["error"] = msg[1]
+        elif msg[0] == "done":
+            acc.setdefault("status", "done")
+
+
 def run_cells(cells: list, timeout_s: float, workers: Optional[int] = None) -> dict:
     """Run (key, generator_func, args) cells in worker processes.
 
@@ -56,35 +72,13 @@ def run_cells(cells: list, timeout_s: float, workers: Optional[int] = None) -> d
             running.append((key, proc, queue, time.monotonic(), {}))
         still = []
         for key, proc, queue, started, acc in running:
-            while True:
-                try:
-                    msg = queue.get_nowait()
-                except Exception:
-                    break
-                if msg[0] == "progress":
-                    acc.update(msg[1])
-                elif msg[0] == "error":
-                    acc["status"] = "error"
-                    acc["error"] = msg[1]
-                elif msg[0] == "done":
-                    acc.setdefault("status", "done")
+            _drain(queue, acc)
             if not proc.is_alive() and "status" in acc:
                 results[key] = acc
             elif not proc.is_alive():
                 # drain whatever arrived between the poll and exit
                 time.sleep(0.05)
-                while True:
-                    try:
-                        msg = queue.get_nowait()
-                    except Exception:
-                        break
-                    if msg[0] == "progress":
-                        acc.update(msg[1])
-                    elif msg[0] == "error":
-                        acc["status"] = "error"
-                        acc["error"] = msg[1]
-                    elif msg[0] == "done":
-                        acc.setdefault("status", "done")
+                _drain(queue, acc)
                 acc.setdefault("status", "error")
                 results[key] = acc
             elif time.monotonic() - started > timeout_s:

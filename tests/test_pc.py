@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -6,7 +7,9 @@ from math import gcd
 import pytest
 
 from conftest import poly_system_has_boolean_zero
-from prooflab.algebra import Field, RATIONALS
+from prooflab.algebra import Field, Matrix, RATIONALS, Vector, compress_image, gauss_solve
+from prooflab.cfi import K4, to_graph, twisted_pair
+from prooflab.encoders import encode_iso_poly_colored
 from prooflab.errors import DegreeOverflowError, UsageError
 from prooflab.pc import (Basis, Polynomial, PolySystem, loads_system, dumps_system,
                          min_refutation_degree, mono_key, monpc_extend,
@@ -251,43 +254,43 @@ def test_json_round_trip():
     assert loads_system(dumps_system(q_system)).axioms == q_system.axioms
 
 
-def _reference_monpc(system, k):
-    """Monomial-PC closure computed the plain way, as an oracle for the
-    engine's monomial quotient, its lifting of linear axioms and its lazily
-    tail-reduced rows.  Every axiom is lifted one variable at a time while
-    the lift stays nonzero and within degree k; then every spanned monomial
-    of degree < k is lifted by every variable until nothing changes.  Rows
-    are reduced by rescanning over the field's own operations."""
+def _plain_reduce(f, rows, vec):
+    """Reduce vec by rescanning for its largest hit, over the field's own
+    operations; rows maps each lead to a monic row."""
+    vec = {m: c for m, c in vec.items() if c != 0}
+    while True:
+        hits = [m for m in vec if m in rows]
+        if not hits:
+            return vec
+        m = max(hits, key=mono_key)
+        c = vec[m]
+        for t, r in rows[m].items():
+            s = f.sub(vec.get(t, f.zero()), f.mul(c, r))
+            if s == 0:
+                vec.pop(t, None)
+            else:
+                vec[t] = s
+
+
+def _plain_insert(f, rows, vec):
+    vec = _plain_reduce(f, rows, vec)
+    if vec:
+        lead = max(vec, key=mono_key)
+        inv = f.inv(vec[lead])
+        rows[lead] = {m: f.mul(inv, c) for m, c in vec.items()}
+
+
+def _times(f, vec, x):
+    return Polynomial(f, [(m + (x,), c) for m, c in vec.items()]).terms
+
+
+def _plain_axiom_lifts(system, k):
+    """Rows spanning every axiom lift reachable one variable at a time
+    while the lift stays nonzero and within degree k."""
     f, n = system.field, system.num_vars
-    rows = {}  # lead -> monic row
-
-    def reduce(vec):
-        vec = {m: c for m, c in vec.items() if c != 0}
-        while True:
-            hits = [m for m in vec if m in rows]
-            if not hits:
-                return vec
-            m = max(hits, key=mono_key)
-            c = vec[m]
-            for t, r in rows[m].items():
-                s = f.sub(vec.get(t, f.zero()), f.mul(c, r))
-                if s == 0:
-                    vec.pop(t, None)
-                else:
-                    vec[t] = s
-
-    def insert(vec):
-        vec = reduce(vec)
-        if vec:
-            lead = max(vec, key=mono_key)
-            inv = f.inv(vec[lead])
-            rows[lead] = {m: f.mul(inv, c) for m, c in vec.items()}
-
-    def times(vec, x):
-        return Polynomial(f, [(m + (x,), c) for m, c in vec.items()]).terms
-
+    rows = {}
     for p in system.axioms:
-        insert(dict(p.terms))
+        _plain_insert(f, rows, dict(p.terms))
         seen, frontier = {()}, [((), dict(p.terms))]
         while frontier:
             m, lifted = frontier.pop()
@@ -295,20 +298,93 @@ def _reference_monpc(system, k):
                 m2 = tuple(sorted(set(m) | {x}))
                 if m2 in seen:
                     continue
-                q = times(lifted, x)
+                q = _times(f, lifted, x)
                 if q and max(map(len, q)) <= k:
                     seen.add(m2)
-                    insert(dict(q))
+                    _plain_insert(f, rows, dict(q))
                     frontier.append((m2, q))
+    return rows
+
+
+def _reference_monpc(system, k):
+    """Monomial-PC closure computed the plain way, as an oracle for the
+    engine's monomial quotient, its lifting of linear axioms and its lazily
+    tail-reduced rows.  After the axiom lifts, every spanned monomial of
+    degree < k is lifted by every variable until nothing changes."""
+    f, n = system.field, system.num_vars
+    rows = _plain_axiom_lifts(system, k)
     done = set()
     while True:
-        fresh = [m for m in rows if len(m) < k and m not in done and not reduce({m: f.one()})]
+        fresh = [m for m in rows if len(m) < k and m not in done
+                 and not _plain_reduce(f, rows, {m: f.one()})]
         if not fresh:
             return rows
         for m in fresh:
             done.add(m)
             for x in range(1, n + 1):
-                insert(times({m: f.one()}, x))
+                _plain_insert(f, rows, _times(f, {m: f.one()}, x))
+
+
+def _reference_pc(system, k):
+    """Full-PC closure by the Gram/kernel route, as an oracle for the
+    engine's echelon sub-degree rows and its lifting of new rows only.
+
+    Every round solves for the combinations of the rows whose degree-k
+    coordinates vanish (gauss_solve); they generate {p in span : deg(p) < k}.
+    Over Q the generators are compressed through the Gram square
+    (compress_image), which has the same image.  Every generator is lifted
+    by every variable, every round, until nothing changes."""
+    f, n = system.field, system.num_vars
+    rows = _plain_axiom_lifts(system, k)
+    while True:
+        leads = tuple(rows)
+        top = tuple({m for r in rows.values() for m in r if len(m) == k})
+        low = tuple({m for r in rows.values() for m in r if len(m) < k})
+        A = Matrix(f, top, leads, {(m, L): c for L in leads
+                                   for m, c in rows[L].items() if len(m) == k})
+        _, kernel = gauss_solve(A, Vector(f, top, {}))
+        entries = {}
+        for j, kv in enumerate(kernel):
+            for L, coef in kv.entries.items():
+                for m, c in rows[L].items():
+                    entries[(m, j)] = f.add(entries.get((m, j), f.zero()), f.mul(coef, c))
+        N = Matrix(f, low, tuple(range(len(kernel))), entries)
+        if f.is_rational:
+            N = compress_image(N)
+        gens = {}
+        for (m, j), c in N.entries.items():
+            gens.setdefault(j, {})[m] = c
+        size = len(rows)
+        for g in gens.values():
+            for x in range(1, n + 1):
+                _plain_insert(f, rows, _times(f, g, x))
+        if len(rows) == size:
+            return rows
+
+
+def _random_axioms(rng, field, num_vars):
+    axioms = []
+    for _ in range(rng.randint(1, 5)):
+        terms = []
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            mono = tuple(sorted(rng.sample(range(1, num_vars + 1), rng.choice([0, 1, 1, 2]))))
+            terms.append((mono, rng.choice([-2, -1, 1, 2])))
+        axioms.append(P(terms, field))
+    return axioms
+
+
+def _assert_same_span(got, ref):
+    """got is a SaturationResult, ref a reference closure's rows."""
+    assert got.refuted == (() in ref)
+    assert got.basis.dimension == len(ref)
+    ref_basis = Basis(got.basis.field, got.basis.k, got.basis.num_vars)
+    for row in ref.values():
+        ref_basis.insert(row)
+    for poly in got.basis.polynomials():
+        assert ref_basis.contains(poly)
+    for row in ref.values():
+        assert got.basis.contains(row)
+    return ref_basis
 
 
 def test_monpc_matches_reference_closure():
@@ -316,26 +392,45 @@ def test_monpc_matches_reference_closure():
     for field in (Q, Field(3)):
         for _ in range(40):
             num_vars = rng.randint(2, 5)
-            axioms = []
-            for _ in range(rng.randint(1, 5)):
-                terms = []
-                for _ in range(rng.choice([1, 1, 2, 3])):
-                    mono = tuple(sorted(rng.sample(range(1, num_vars + 1),
-                                                   rng.choice([0, 1, 1, 2]))))
-                    terms.append((mono, rng.choice([-2, -1, 1, 2])))
-                axioms.append(P(terms, field))
+            axioms = _random_axioms(rng, field, num_vars)
             k = rng.choice([2, 3])
             system = PolySystem(field, num_vars, axioms)
-            ref = _reference_monpc(system, k)
             got = monpc_saturate(system, k, full_closure=True)
-            assert got.refuted == (() in ref)
-            assert got.basis.dimension == len(ref)
-            # equal dimension plus containment is equality of the spans
-            ref_basis = Basis(field, k, num_vars)
-            for row in ref.values():
-                ref_basis.insert(row)
-            for poly in got.basis.polynomials():
-                assert ref_basis.contains(poly)
+            ref_basis = _assert_same_span(got, _reference_monpc(system, k))
             for d in range(k + 1):
                 for m in combinations(range(1, num_vars + 1), d):
                     assert got.basis.span_monomial(m) == ref_basis.contains({m: 1})
+
+
+def test_pc_matches_reference_closure():
+    rng = random.Random(29)
+    for field in (Q, Field(3)):
+        # X1 = 1 and X_i -> X_(i+1): each round derives the next 1 - X_i
+        # below the degree bound, so the closure takes several rounds
+        chain = [P([((), 1), ((1,), -1)], field)]
+        chain += [P([((i,), 1), ((i, i + 1), -1)], field) for i in range(1, 5)]
+        for k in (2, 3):
+            systems = [PolySystem(field, 5, chain), PolySystem(field, 5, chain + [P([((5,), 1)], field)])]
+            for _ in range(20):
+                num_vars = rng.randint(2, 5)
+                systems.append(PolySystem(field, num_vars, _random_axioms(rng, field, num_vars)))
+            for system in systems:
+                got = pc_saturate(system, k, full_closure=True)
+                _assert_same_span(got, _reference_pc(system, k))
+                assert pc_saturate(system, k).refuted == got.refuted
+
+
+def test_pc_k4_cfi_pair_at_degree_two():
+    # the colour-restricted isomorphism system of the K4 twisted pair is
+    # not refuted at degree 2, over Q as over F_3; over Q a dense
+    # elimination on the degree-2 coordinates once ran out of memory here
+    a, b = twisted_pair(K4, 2)
+    ga, gb = to_graph(a), to_graph(b)
+    for field in (Q, Field(3)):
+        system = encode_iso_poly_colored(ga, gb, field)
+        system = PolySystem(field, system.num_vars, [p for p in system.axioms if p.degree <= 2])
+        start = time.monotonic()
+        result = pc_saturate(system, 2)
+        assert time.monotonic() - start < 60
+        assert not result.refuted
+        assert result.basis.dimension == 6319
