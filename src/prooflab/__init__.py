@@ -12,8 +12,8 @@ from .errors import DegreeOverflowError, UnsupportedFieldError, UsageError
 from .games import ThresholdGame, encode_threshold_axioms, intended_model, \
     solve_threshold_game
 from .logic import LfpFormula, RelStructure, eval_poslfp, horn_encode, parse_formula
-from .pc import Basis, Monomial, Polynomial, PolySystem, min_refutation_degree, \
-    monpc_extend, monpc_saturate, multlin, pc_saturate
+from .pc import Basis, Monomial, Polynomial, PolySystem, degree_sweep, \
+    min_refutation_degree, monpc_extend, monpc_saturate, multlin, pc_saturate
 from .resolution import CnfFormula, horn_refute, kres_refutes, kres_saturate, \
     read_dimacs, two_sat_oracle, write_dimacs
 from .wl import ColoredGraph, wl_distinguishes, wl_sweep

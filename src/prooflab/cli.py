@@ -13,7 +13,7 @@ import logging
 import sys
 
 from . import algebra, cfi, encoders, experiments, games, logic, pc, resolution, wl
-from .errors import UsageError
+from .errors import UsageError, malformed_input
 
 log = logging.getLogger("prooflab")
 
@@ -81,9 +81,10 @@ def _load_graph(path: str) -> wl.ColoredGraph:
     text = _read(path)
     if text.lstrip().startswith("{"):
         obj = _parse_json(text, path)
-        return wl.ColoredGraph(obj["n"], obj.get("colors"),
-                               {name: [tuple(p) for p in pairs]
-                                for name, pairs in obj.get("relations", {}).items()})
+        with malformed_input(f"graph JSON in {path}"):
+            return wl.ColoredGraph(obj["n"], obj.get("colors"),
+                                   {name: [tuple(p) for p in pairs]
+                                    for name, pairs in obj.get("relations", {}).items()})
     return wl.parse_colored_graph(text)
 
 
@@ -212,8 +213,9 @@ def cmd_lfp(args) -> int:
     a = logic.structure_from_json(_read_json(args.structure))
     params = {}
     for binding in args.param or []:
-        name, value = binding.split("=", 1)
-        params[name] = int(value)
+        name, _, value = binding.partition("=")
+        with malformed_input(f"--param {binding!r}, expected name=element"):
+            params[name] = int(value)
     phi = logic.parse_formula(_read(args.formula), params)
     if args.action == "eval":
         holds = logic.eval_poslfp(a, phi)

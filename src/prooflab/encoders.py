@@ -30,13 +30,12 @@ def encode_nonreach(n: int, edges, s: int, t: int) -> CnfFormula:
     return CnfFormula(n, clauses)
 
 
-def _is_partial_iso(g_edges: frozenset, h_edges: frozenset,
-                    v1: int, w1: int, v2: int, w2: int) -> bool:
-    if v1 == v2 and w1 != w2:
-        return False
-    if w1 == w2 and v1 != v2:
-        return False
-    return ((v1, v2) in g_edges) == ((w1, w2) in h_edges)
+def _conflict(rel_pairs: list, v1: int, w1: int, v2: int, w2: int) -> bool:
+    """Do the assignments v1 -> w1 and v2 -> w2 fail to form a partial
+    isomorphism?  rel_pairs pairs each relation's tuple set in the first
+    graph with the same relation's set in the second."""
+    return (v1 == v2) != (w1 == w2) or any(
+        ((v1, v2) in rel_g) != ((w1, w2) in rel_h) for rel_g, rel_h in rel_pairs)
 
 
 def _sym_edges(edges) -> frozenset:
@@ -52,7 +51,7 @@ def encode_iso_cnf(n_g: int, g_edges, n_h: int, h_edges) -> CnfFormula:
     X[v -> w], plus a binary conflict clause for every pair of assignments
     that is not a partial isomorphism.  Satisfiable iff the graphs are
     isomorphic."""
-    ge, he = _sym_edges(g_edges), _sym_edges(h_edges)
+    rel_pairs = [(_sym_edges(g_edges), _sym_edges(h_edges))]
     nv = max(n_g, n_h, 1)
     var = lambda v, w: v * nv + w + 1
     clauses = []
@@ -64,7 +63,7 @@ def encode_iso_cnf(n_g: int, g_edges, n_h: int, h_edges) -> CnfFormula:
         for (v2, w2) in product(range(n_g), range(n_h)):
             if (v1, w1) >= (v2, w2):
                 continue
-            if not _is_partial_iso(ge, he, v1, w1, v2, w2):
+            if _conflict(rel_pairs, v1, w1, v2, w2):
                 clauses.append([-var(v1, w1), -var(v2, w2)])
     return CnfFormula(max(n_g * nv, 1), clauses)
 
@@ -112,20 +111,16 @@ def _classes(g: ColoredGraph) -> list:
 
 
 def encode_iso_poly_colored(g: ColoredGraph, h: ColoredGraph,
-                            field: Field = RATIONALS,
-                            allow_mismatch: bool = False) -> PolySystem:
+                            field: Field = RATIONALS) -> PolySystem:
     """Color-respecting isomorphism system: X[v -> w] exists only for v, w
     in matching color classes, cutting the variable count to the sum of
-    class-size products.  A class-count mismatch is a usage error unless
-    allow_mismatch is set, in which case the trivially unsatisfiable
-    system {1} is returned."""
+    class-size products.  A class-count mismatch is a usage error."""
     gc, hc = _classes(g), _classes(h)
     if len(gc) != len(hc) or sorted(set(g.colors)) != sorted(set(h.colors)) \
             or any(len(a) != len(b) for a, b in zip(gc, hc)):
-        if allow_mismatch:
-            return PolySystem(field, 1, [Polynomial.constant(field, 1)])
         raise UsageError("color class counts do not match")
-    rel_names = sorted(set(g.relations) | set(h.relations))
+    rel_pairs = [(g.relations.get(r, frozenset()), h.relations.get(r, frozenset()))
+                 for r in sorted(set(g.relations) | set(h.relations))]
     var = {}
     for cls_g, cls_h in zip(gc, hc):
         for v in cls_g:
@@ -138,21 +133,12 @@ def encode_iso_poly_colored(g: ColoredGraph, h: ColoredGraph,
         for w in cls_h:
             axioms.append(Polynomial(field, [((var[(v, w)],), 1) for v in cls_g] + [((), -1)]))
 
-    def conflict(v1, w1, v2, w2) -> bool:
-        if v1 == v2 and w1 != w2:
-            return True
-        if w1 == w2 and v1 != v2:
-            return True
-        return any(((v1, v2) in g.relations.get(r, frozenset()))
-                   != ((w1, w2) in h.relations.get(r, frozenset()))
-                   for r in rel_names)
-
     pairs = sorted(var)
     for (v1, w1) in pairs:
         for (v2, w2) in pairs:
             if (v1, w1) >= (v2, w2):
                 continue
-            if conflict(v1, w1, v2, w2):
+            if _conflict(rel_pairs, v1, w1, v2, w2):
                 mono = tuple(sorted({var[(v1, w1)], var[(v2, w2)]}))
                 axioms.append(Polynomial(field, [(mono, 1)]))
     return PolySystem(field, len(var), _dedup(axioms))
@@ -194,63 +180,64 @@ def _partial_homs(a: RelStructure, t: RelStructure, k: int) -> list:
 
 
 def _domains(universe: list, dom: tuple, k: int, all_subsets: bool):
+    """The admissible domains strictly above dom, of size <= k."""
     if all_subsets:
         rest = [e for e in universe if e not in dom]
-        for extra in range(0, k - len(dom) + 1):
+        for extra in range(1, k - len(dom) + 1):
             for more in combinations(rest, extra):
                 yield tuple(sorted(set(dom) | set(more)))
-    else:
-        yield dom
-        if len(dom) < k:
-            for e in universe:
-                if e not in dom:
-                    yield tuple(sorted(set(dom) | {e}))
+    elif len(dom) < k:
+        for e in universe:
+            if e not in dom:
+                yield tuple(sorted(set(dom) | {e}))
 
 
-def _survivors(a: RelStructure, t: RelStructure, k: int, all_subsets: bool) -> set:
-    """The k-consistency fixed point as a set of partial homomorphisms.
+def _kconsistency_rules(a: RelStructure, t: RelStructure, k: int, all_subsets: bool) -> list:
+    """The k-consistency rule table: (p, extensions, restrictions) for every
+    partial homomorphism p with domain size <= k.
 
-    Iteratively removes maps that cannot be extended to every admissible
-    superset domain, or that lost a restriction.  By default extension is
-    checked for one-new-element domains only (same fixed point as ranging
-    over all supersets of size <= k, available via all_subsets)."""
+    extensions holds one set per admissible domain S above dom(p): the maps
+    on S that extend p.  restrictions holds p minus each element.  The
+    k-consistency fixed point keeps p while every extension set keeps a map
+    and every restriction is kept.  By default the admissible domains add
+    one new element to dom(p) (same fixed point as ranging over all
+    supersets of size <= k, available via all_subsets)."""
+    if k < 1:
+        raise UsageError("k must be >= 1")
     homs = _partial_homs(a, t, k)
     universe = list(range(a.universe_size))
     by_domain: dict = {}
     for p in homs:
-        by_domain.setdefault(tuple(sorted(x for (x, _) in p)), []).append(p)
-    # static extension and restriction tables; the iteration below only
-    # consults liveness
-    ext_table = {}
-    sub_table = {}
+        by_domain.setdefault(tuple(x for (x, _) in p), []).append(p)
+    rules = []
     for p in homs:
-        pmap = dict(p)
-        dom = tuple(sorted(pmap))
-        ext_table[p] = [
-            [q for q in by_domain.get(S, ()) if all(dict(q).get(e) == pmap[e] for e in pmap)]
-            for S in _domains(universe, dom, k, all_subsets)]
-        sub_table[p] = [tuple(sorted((x, y) for (x, y) in p if x != e)) for e in pmap]
-
-    alive = set(homs)
-    changed = True
-    while changed:
-        changed = False
-        for p in list(alive):
-            ok = all(any(q in alive for q in ext) for ext in ext_table[p]) \
-                and all(sub in alive for sub in sub_table[p])
-            if not ok:
-                alive.discard(p)
-                changed = True
-    return alive
+        dom = tuple(x for (x, _) in p)
+        items = set(p)
+        extensions = [[q for q in by_domain.get(S, ()) if items.issubset(q)]
+                      for S in _domains(universe, dom, k, all_subsets)]
+        restrictions = [p[:i] + p[i + 1:] for i in range(len(p))]
+        rules.append((p, extensions, restrictions))
+    return rules
 
 
 def k_consistency(a: RelStructure, t: RelStructure, k: int,
                   all_subsets: bool = False) -> bool:
     """k-consistency test: False certifies that no homomorphism a -> t
-    exists; True is inconclusive in general."""
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    return bool(_survivors(a, t, k, all_subsets))
+    exists; True is inconclusive in general.
+
+    Computes the greatest fixed point of the rule table directly, by
+    removing maps that break a rule until none does."""
+    rules = _kconsistency_rules(a, t, k, all_subsets)
+    alive = {p for (p, _, _) in rules}
+    changed = True
+    while changed:
+        changed = False
+        for p, extensions, restrictions in rules:
+            if p in alive and not (all(any(q in alive for q in ext) for ext in extensions)
+                                   and all(r in alive for r in restrictions)):
+                alive.discard(p)
+                changed = True
+    return bool(alive)
 
 
 def encode_kconsistency_cnf(a: RelStructure, t: RelStructure, k: int,
@@ -261,30 +248,14 @@ def encode_kconsistency_cnf(a: RelStructure, t: RelStructure, k: int,
     for every admissible superset domain and the survival of restrictions,
     with the positive unit asserting the empty map.
     """
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    homs = _partial_homs(a, t, k)
-    var = {p: i + 1 for i, p in enumerate(homs)}
-    universe = list(range(a.universe_size))
-    by_domain: dict = {}
-    for p in homs:
-        by_domain.setdefault(tuple(sorted(x for (x, _) in p)), []).append(p)
-
+    rules = _kconsistency_rules(a, t, k, all_subsets)
+    var = {p: i + 1 for i, (p, _, _) in enumerate(rules)}
     clauses = []
-    for p in homs:
-        pmap = dict(p)
-        dom = tuple(sorted(pmap))
-        for S in _domains(universe, dom, k, all_subsets):
-            extensions = [var[q] for q in by_domain.get(S, ())
-                          if all(dict(q).get(e) == pmap[e] for e in pmap)]
-            if var[p] in extensions:
-                continue  # S = dom(p): the clause would be the tautology X_p -> X_p
-            clauses.append([-var[p]] + extensions)
-        for e in pmap:
-            sub = tuple(sorted((x, y) for (x, y) in p if x != e))
-            clauses.append([-var[p], var[sub]])
+    for p, extensions, restrictions in rules:
+        clauses.extend([-var[p]] + [var[q] for q in ext] for ext in extensions)
+        clauses.extend([-var[p], var[r]] for r in restrictions)
     clauses.append([var[()]])
-    return CnfFormula(len(homs), clauses)
+    return CnfFormula(len(rules), clauses)
 
 
 def brute_force_homomorphism(a: RelStructure, t: RelStructure) -> bool:

@@ -22,7 +22,7 @@ from .encoders import (brute_force_homomorphism, clique_structure, cycle_structu
                        encode_iso_poly, encode_iso_poly_colored, encode_kconsistency_cnf,
                        k_consistency)
 from .errors import UsageError
-from .pc import PolySystem, min_refutation_degree, monpc_saturate
+from .pc import degree_sweep, min_refutation_degree
 from .resolution import kres_refutes
 from .wl import ColoredGraph, wl_sweep
 
@@ -113,17 +113,14 @@ def _degree_growth_cell(base_name: str, p: int, field_p: Optional[int], k_max: i
     wl_dim = wl_sweep(ga, gb, dim_max)
     yield ("progress", {"wl_dim": wl_dim, "wl_seconds": round(time.monotonic() - t0, 2)})
     dims = []
-    for k in range(1, k_max + 1):
-        t0 = time.monotonic()
-        usable = [ax for ax in system.axioms if ax.degree <= k]
-        sub = PolySystem(system.field, system.num_vars, usable)
-        res = monpc_saturate(sub, k)
-        dims.append(res.basis.dimension)
+    t0 = time.monotonic()
+    for k, refuted, dimension in degree_sweep(system, "monpc", k_max):
+        dims.append(dimension)
         yield ("progress", {"k_checked": k, "basis_dims": list(dims),
                             "k_seconds": round(time.monotonic() - t0, 2)})
-        if res.refuted:
+        if refuted:
             yield ("progress", {"min_degree": k})
-            break
+        t0 = time.monotonic()
 
 
 def _calibration_cell(name: str, g: ColoredGraph, h: ColoredGraph, colored: bool,

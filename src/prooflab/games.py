@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import Field, RATIONALS
-from .errors import UsageError
+from .errors import UsageError, malformed_input
 from .pc import Polynomial, PolySystem
 
 
@@ -209,5 +209,6 @@ def game_to_json(g: ThresholdGame) -> dict:
 
 
 def game_from_json(obj: dict) -> ThresholdGame:
-    return ThresholdGame(int(obj["n"]), [tuple(e) for e in obj["edges"]],
-                         list(obj["theta"]), int(obj.get("start", 0)))
+    with malformed_input("game JSON"):
+        return ThresholdGame(int(obj["n"]), [tuple(e) for e in obj["edges"]],
+                             list(obj["theta"]), int(obj.get("start", 0)))

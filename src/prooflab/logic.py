@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .errors import UsageError
+from .errors import UsageError, malformed_input
 from .resolution import CnfFormula
 
 
@@ -50,9 +50,10 @@ def structure_to_json(a: RelStructure) -> dict:
 
 
 def structure_from_json(obj: dict) -> RelStructure:
-    rels = {name: (int(r["arity"]), frozenset(tuple(t) for t in r["tuples"]))
-            for name, r in obj.get("relations", {}).items()}
-    return RelStructure(int(obj["n"]), rels)
+    with malformed_input("structure JSON"):
+        rels = {name: (int(r["arity"]), frozenset(tuple(t) for t in r["tuples"]))
+                for name, r in obj.get("relations", {}).items()}
+        return RelStructure(int(obj["n"]), rels)
 
 
 # --- formula tree ----------------------------------------------------------
@@ -267,13 +268,13 @@ def _binders(node, out: dict):
     return out
 
 
-def eval_poslfp(a: RelStructure, phi: LfpFormula) -> bool:
-    """Least-fixed-point model checking by naive stage iteration."""
+def _term_evaluator(a: RelStructure, phi: LfpFormula):
+    """Check phi against a's vocabulary and its free variables against its
+    parameters; return term(t, env), the element a term denotes under env."""
     _check_vocabulary(a, phi.root)
     unresolved = free_vars(phi.root) - set(phi.params)
     if unresolved:
         raise UsageError(f"free variables {sorted(unresolved)} not bound by parameters")
-    universe = range(a.universe_size)
 
     def term(t, env):
         if t in env:
@@ -281,6 +282,14 @@ def eval_poslfp(a: RelStructure, phi: LfpFormula) -> bool:
         if t in phi.params:
             return phi.params[t]
         raise UsageError(f"unbound term {t!r}")
+
+    return term
+
+
+def eval_poslfp(a: RelStructure, phi: LfpFormula) -> bool:
+    """Least-fixed-point model checking by naive stage iteration."""
+    term = _term_evaluator(a, phi)
+    universe = range(a.universe_size)
 
     def ev(node, env, fps):
         if isinstance(node, Atom):
@@ -332,10 +341,7 @@ def horn_encode(a: RelStructure, phi: LfpFormula) -> HornEncoding:
     CNF is unsatisfiable iff the structure satisfies the sentence.  Inputs
     without universal quantifiers compile to clauses of width at most 3.
     """
-    _check_vocabulary(a, phi.root)
-    unresolved = free_vars(phi.root) - set(phi.params)
-    if unresolved:
-        raise UsageError(f"free variables {sorted(unresolved)} not bound by parameters")
+    term = _term_evaluator(a, phi)
     universe = range(a.universe_size)
     binders = _binders(phi.root, {})
     # an lfp binder may mention variables bound outside it; those extra
@@ -346,13 +352,6 @@ def horn_encode(a: RelStructure, phi: LfpFormula) -> HornEncoding:
     var_map: dict = {}
     pretty: dict = {}
     clauses: list = []
-
-    def term(t, env):
-        if t in env:
-            return env[t]
-        if t in phi.params:
-            return phi.params[t]
-        raise UsageError(f"unbound term {t!r}")
 
     def var_of(node, env) -> int:
         if isinstance(node, FpAtom):

@@ -19,7 +19,7 @@ from math import comb, gcd, lcm
 from typing import Iterable, NamedTuple, Optional
 
 from .algebra import Field, RATIONALS
-from .errors import DegreeOverflowError, UsageError
+from .errors import DegreeOverflowError, UsageError, malformed_input
 
 Monomial = tuple  # strictly increasing variable ids; () is the constant monomial
 
@@ -226,17 +226,17 @@ class Basis:
         pairs with bits = 1 | sum of 1 << v over v in m, in graded lex order
         from the constant up."""
         out = []
-
-        def walk(m: tuple, bits: int, lo: int):
+        # an explicit stack: a recursive closure would keep this basis in a
+        # reference cycle, alive until the cyclic collector runs
+        stack = [((), 1, 1)]
+        while stack:
+            m, bits, lo = stack.pop()
             out.append((m, bits))
-            if len(m) == d:
-                return
-            for v in range(lo, self.num_vars + 1):
-                m2 = m + (v,)
-                if not self.in_quotient(m2):
-                    walk(m2, bits | 1 << v, v + 1)
-
-        walk((), 1, 1)
+            if len(m) < d:
+                for v in range(lo, self.num_vars + 1):
+                    m2 = m + (v,)
+                    if not self.in_quotient(m2):
+                        stack.append((m2, bits | 1 << v, v + 1))
         out.sort(key=lambda mb: mono_key(mb[0]))
         return out
 
@@ -459,11 +459,11 @@ def _degree(vec: dict):
     return max(map(len, vec), default=NEG_INF)
 
 
-def _lift_axioms(basis: Basis, axioms: list, num_vars: int, k: int, stop_early: bool) -> bool:
+def _lift_axioms(basis: Basis, axioms: list, stop_early: bool) -> bool:
     """Insert MultLin(m.p) for every axiom p and every lift monomial m that is
-    reachable one variable at a time without exceeding degree k.  Returns
-    True if a refutation appeared and stop_early was set."""
-    f = basis.field
+    reachable one variable at a time without exceeding the basis degree k.
+    Returns True if a refutation appeared and stop_early was set."""
+    f, k, num_vars = basis.field, basis.k, basis.num_vars
     free = None  # lift monomials shared by the axioms of degree <= 1
     for p in axioms:
         # scaling by a nonzero constant keeps the span; over Q the lifts of
@@ -556,16 +556,16 @@ def _lift_linear(basis: Basis, root: dict, free: list, stop_early: bool) -> bool
     return False
 
 
-def _monpc_rounds(basis: Basis, stop_early: bool) -> bool:
+def _monpc_rounds(basis: Basis, stop_early: bool) -> None:
     """Lift every in-span monomial of degree < k by every variable until the
-    span is stable; returns True on early refutation exit."""
+    span is stable, or until a refutation appears if stop_early is set."""
     k, num_vars = basis.k, basis.num_vars
     while True:
         fresh = sorted((m for m in basis.vectors
                         if len(m) < k and m not in basis.lifted and basis.span_monomial(m)),
                        key=mono_key)
         if not fresh:
-            return stop_early and basis.refuted
+            return
         for m in fresh:
             basis.lifted.add(m)
             for x in range(1, num_vars + 1):
@@ -575,7 +575,34 @@ def _monpc_rounds(basis: Basis, stop_early: bool) -> bool:
                 if basis.in_quotient(xm):
                     continue
                 if basis._absorb({xm: 1}) and stop_early and basis.refuted:
-                    return True
+                    return
+
+
+def _pc_rounds(basis: Basis, stop_early: bool) -> None:
+    """Lift by every variable each row whose lead has degree < k and that no
+    earlier round lifted, until no such row is left, or until a refutation
+    appears if stop_early is set."""
+    f, k, num_vars = basis.field, basis.k, basis.num_vars
+    lifted = set()  # leads of the rows already lifted
+    while True:
+        fresh = sorted((lead for lead in basis.vectors if len(lead) < k and lead not in lifted),
+                       key=mono_key)
+        if not fresh:
+            return
+        for lead in fresh:
+            lifted.add(lead)
+            row = basis.vectors[lead]
+            for x in range(1, num_vars + 1):
+                if basis._absorb(_mul_var(f, row, x)) and stop_early and basis.refuted:
+                    return
+
+
+def _close(basis: Basis, axioms: list, rounds, full_closure: bool) -> SaturationResult:
+    """Lift the axioms into the basis, then run the engine's rounds on it."""
+    stop = not full_closure
+    if not _lift_axioms(basis, axioms, stop):
+        rounds(basis, stop)
+    return SaturationResult(basis.refuted, basis)
 
 
 def monpc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> SaturationResult:
@@ -596,11 +623,7 @@ def monpc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> Sa
     _check_system(system, k)
     quotient = [m for p in system.axioms if len(p.terms) == 1 for m in p.terms]
     basis = Basis(system.field, k, system.num_vars, quotient)
-    stop = not full_closure
-    if _lift_axioms(basis, system.axioms, system.num_vars, k, stop):
-        return SaturationResult(True, basis)
-    _monpc_rounds(basis, stop)
-    return SaturationResult(basis.refuted, basis)
+    return _close(basis, system.axioms, _monpc_rounds, full_closure)
 
 
 def monpc_extend(basis: Basis, extra_axioms: list, full_closure: bool = False) -> SaturationResult:
@@ -611,17 +634,8 @@ def monpc_extend(basis: Basis, extra_axioms: list, full_closure: bool = False) -
     given basis is not modified.  Produces the same span as saturating the
     enlarged system from scratch.
     """
-    out = basis.copy()
-    for p in extra_axioms:
-        if p.degree > out.k:
-            raise DegreeOverflowError(f"axiom of degree {p.degree} exceeds the bound k={out.k}")
-        if p.field != out.field:
-            raise UsageError("axiom field does not match basis field")
-    stop = not full_closure
-    if _lift_axioms(out, extra_axioms, out.num_vars, out.k, stop):
-        return SaturationResult(True, out)
-    _monpc_rounds(out, stop)
-    return SaturationResult(out.refuted, out)
+    _check_system(PolySystem(basis.field, basis.num_vars, list(extra_axioms)), basis.k)
+    return _close(basis.copy(), extra_axioms, _monpc_rounds, full_closure)
 
 
 def pc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> SaturationResult:
@@ -641,36 +655,22 @@ def pc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> Satur
     k = 3.
     """
     _check_system(system, k)
-    f = system.field
-    basis = Basis(f, k, system.num_vars)
-    stop = not full_closure
-    if _lift_axioms(basis, system.axioms, system.num_vars, k, stop):
-        return SaturationResult(True, basis)
-    lifted = set()  # leads of the rows already lifted
-    while True:
-        fresh = sorted((lead for lead in basis.vectors if len(lead) < k and lead not in lifted),
-                       key=mono_key)
-        if not fresh:
-            return SaturationResult(basis.refuted, basis)
-        for lead in fresh:
-            lifted.add(lead)
-            row = basis.vectors[lead]
-            for x in range(1, system.num_vars + 1):
-                if basis._absorb(_mul_var(f, row, x)) and stop and basis.refuted:
-                    return SaturationResult(True, basis)
+    return _close(Basis(system.field, k, system.num_vars), system.axioms, _pc_rounds,
+                  full_closure)
 
 
 ENGINES = {"monpc": monpc_saturate, "pc": pc_saturate}
 
 
-def min_refutation_degree(system: PolySystem, engine: str = "monpc",
-                          k_max: int = 6, full_closure: bool = False) -> Optional[int]:
-    """Smallest k <= k_max at which the engine refutes, or None.
+def degree_sweep(system: PolySystem, engine: str = "monpc", k_max: int = 6):
+    """Yield (k, refuted, dimension) for k = 1, 2, ..., k_max, stopping
+    after the first refutation.
 
     Every line of a degree-k proof obeys the bound, so axioms wider than k
     cannot take part: at each k the degree-<= k subsystem is what gets
-    saturated.  The sweep starts at 1; a system containing a nonzero
-    constant therefore reports degree 1.
+    saturated, with the engine's early exit on refutation.  Only the
+    verdict and the basis dimension leave the sweep, so no closure is
+    alive while the next one runs.
     """
     try:
         saturate = ENGINES[engine]
@@ -678,10 +678,21 @@ def min_refutation_degree(system: PolySystem, engine: str = "monpc",
         raise UsageError(f"unknown engine {engine!r}; use one of {sorted(ENGINES)}")
     for k in range(1, k_max + 1):
         usable = [p for p in system.axioms if p.degree <= k]
-        sub = PolySystem(system.field, system.num_vars, usable, system.booleanity)
-        if saturate(sub, k, full_closure=full_closure).refuted:
-            return k
-    return None
+        res = saturate(PolySystem(system.field, system.num_vars, usable, system.booleanity), k)
+        refuted, dimension = res.refuted, res.basis.dimension
+        del res
+        yield k, refuted, dimension
+        if refuted:
+            return
+
+
+def min_refutation_degree(system: PolySystem, engine: str = "monpc",
+                          k_max: int = 6) -> Optional[int]:
+    """Smallest k <= k_max at which the engine refutes, or None: the first
+    refuted k of degree_sweep.  The sweep starts at 1; a system containing
+    a nonzero constant therefore reports degree 1.
+    """
+    return next((k for k, refuted, _ in degree_sweep(system, engine, k_max) if refuted), None)
 
 
 # ---------------------------------------------------------------------------
@@ -716,17 +727,13 @@ def system_to_json(system: PolySystem) -> dict:
 
 
 def system_from_json(obj: dict) -> PolySystem:
-    try:
+    with malformed_input("PolySystem JSON"):
         f = field_from_json(obj["field"])
         axioms = []
         for poly in obj["polys"]:
             terms = [(f.parse_scalar(t["coef"]), tuple(t["mono"])) for t in poly]
             axioms.append(Polynomial(f, [(m, c) for c, m in terms]))
         return PolySystem(f, int(obj["num_vars"]), axioms, bool(obj.get("booleanity", True)))
-    except UsageError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed PolySystem JSON: {type(exc).__name__}: {exc}") from exc
 
 
 def dumps_system(system: PolySystem) -> str:

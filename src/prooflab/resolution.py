@@ -95,8 +95,7 @@ def horn_refute(f: CnfFormula) -> HornResult:
     return HornResult(refuted, frozenset(derived))
 
 
-def kres_saturate(f: CnfFormula, k: int, premise_wide: bool = False,
-                  stop_on_refutation: bool = False) -> KresResult:
+def kres_saturate(f: CnfFormula, k: int, premise_wide: bool = False) -> KresResult:
     """Width-k resolution: saturate the clauses of width <= k under resolution.
 
     derived is the least set containing the input clauses of width <= k and
@@ -104,15 +103,11 @@ def kres_saturate(f: CnfFormula, k: int, premise_wide: bool = False,
     Tautological resolvents are dropped.  Input clauses wider than k are
     excluded entirely; with premise_wide they may serve as premises (their
     resolvents still must fit within k) but never join the derived set.
-    With stop_on_refutation the loop returns as soon as the empty clause
-    appears; the derived set is then a witness prefix of the closure.
     """
     if k < 1:
         raise UsageError("width bound k must be >= 1")
     derived: set[Clause] = {c for c in f.clauses if len(c) <= k}
     wide = [c for c in f.clauses if len(c) > k] if premise_wide else []
-    if stop_on_refutation and frozenset() in derived:
-        return KresResult(True, frozenset(derived))
 
     index: dict[int, list[Clause]] = {}
 
@@ -144,15 +139,13 @@ def kres_saturate(f: CnfFormula, k: int, premise_wide: bool = False,
                 if any(-x in resolvent for x in resolvent):
                     continue
                 derived.add(resolvent)
-                if stop_on_refutation and not resolvent:
-                    return KresResult(True, frozenset(derived))
                 register(resolvent)
                 queue.append(resolvent)
 
     return KresResult(frozenset() in derived, frozenset(derived))
 
 
-def kres_refutes(f: CnfFormula, k: int, premise_wide: bool = False) -> bool:
+def kres_refutes(f: CnfFormula, k: int) -> bool:
     """Width-k resolution verdict via subsumption-pruned saturation.
 
     Same answer as kres_saturate(f, k).refuted: a subsuming clause can
@@ -164,7 +157,6 @@ def kres_refutes(f: CnfFormula, k: int, premise_wide: bool = False) -> bool:
     if k < 1:
         raise UsageError("width bound k must be >= 1")
     start = [c for c in f.clauses if len(c) <= k]
-    wide = [c for c in f.clauses if len(c) > k] if premise_wide else []
 
     from heapq import heappop, heappush
     from itertools import combinations as _comb
@@ -197,17 +189,12 @@ def kres_refutes(f: CnfFormula, k: int, premise_wide: bool = False) -> bool:
         if add(c):
             heappush(heap, (len(c), counter, c))
             counter += 1
-    for c in wide:
-        for lit in c:
-            index.setdefault(lit, []).append(c)
-        heappush(heap, (len(c), counter, c))
-        counter += 1
     if frozenset() in alive:
         return True
 
     while heap:
         _, _, c = heappop(heap)
-        if c not in alive and len(c) <= k:
+        if c not in alive:
             continue
         for lit in c:
             partners = index.get(-lit)
@@ -216,7 +203,7 @@ def kres_refutes(f: CnfFormula, k: int, premise_wide: bool = False) -> bool:
             c_rest = c - {lit}
             for i in range(len(partners)):
                 d = partners[i]
-                if d not in alive and len(d) <= k:
+                if d not in alive:
                     continue
                 resolvent = c_rest | (d - {-lit})
                 if len(resolvent) > k or any(-x in resolvent for x in resolvent):
@@ -226,7 +213,7 @@ def kres_refutes(f: CnfFormula, k: int, premise_wide: bool = False) -> bool:
                 if add(resolvent):
                     heappush(heap, (len(resolvent), counter, resolvent))
                     counter += 1
-            if c not in alive and len(c) <= k:
+            if c not in alive:
                 break  # c got back-subsumed by one of its own resolvents
     return frozenset() in alive
 

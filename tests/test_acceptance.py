@@ -60,7 +60,7 @@ def test_criterion_2_poslfp_horn_equivalence():
             efp0 += 1
             assert max((len(c) for c in enc.cnf.clauses), default=0) <= 3
             if want:
-                assert kres_saturate(enc.cnf, 3, stop_on_refutation=True).refuted
+                assert kres_refutes(enc.cnf, 3)
             else:
                 assert not kres_refutes(enc.cnf, 3)
         total += 1

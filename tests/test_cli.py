@@ -131,6 +131,15 @@ MALFORMED = [
     ("res-bad-token", {"f.cnf": "p cnf 2 1\n1 x 0\n"}, ["res", "kres", "f.cnf"]),
     ("lfp-not-json", {"s.json": "{", "phi.lfp": "(= x x)"},
      ["lfp", "eval", "--structure", "s.json", "--formula", "phi.lfp"]),
+    ("wl-no-n", {"g.json": json.dumps({"relations": {}})},
+     ["wl", "--g", "g.json", "--h", "g.json"]),
+    ("csp-no-n", {"a.json": json.dumps({"relations": {}}),
+                  "t.json": json.dumps({"n": 2, "relations": {}})},
+     ["csp", "check", "--instance", "a.json", "--template", "t.json"]),
+    ("game-no-edges", {"game.json": json.dumps({"n": 1, "theta": [0]})},
+     ["game", "solve", "game.json"]),
+    ("lfp-param-no-eq", {"s.json": json.dumps({"n": 1, "relations": {}}), "phi.lfp": "(= s s)"},
+     ["lfp", "eval", "--structure", "s.json", "--formula", "phi.lfp", "--param", "s"]),
 ]
 
 
@@ -171,6 +180,7 @@ def test_experiment_degree_growth_small(tmp_path, capsys):
     assert row["num_vars"] == 112
     assert row["min_degree"] is None and row["k_checked"] == 2  # not refuted at 2
     assert row["wl_dim"] is None  # dim 1 does not split the twisted pair
+    assert row["basis_dims"] == [64, 5400]
 
 
 def test_experiment_config_file(tmp_path, capsys):

@@ -127,8 +127,6 @@ def test_iso_poly_colored_class_mismatch():
     h = ColoredGraph(2, (0, 1), {})
     with pytest.raises(UsageError):
         encode_iso_poly_colored(g, h)
-    system = encode_iso_poly_colored(g, h, allow_mismatch=True)
-    assert monpc_saturate(system, 1).refuted
 
 
 def test_iso_poly_colored_cfi_control_pair():

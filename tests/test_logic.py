@@ -7,7 +7,7 @@ from conftest import random_poslfp, random_structure, stage_table_eval
 from prooflab.errors import UsageError
 from prooflab.logic import (LfpFormula, RelStructure, eval_poslfp, horn_encode,
                             parse_formula, structure_from_json, structure_to_json)
-from prooflab.resolution import horn_refute, kres_saturate
+from prooflab.resolution import horn_refute, kres_refutes
 
 
 def edge_graph(n, edges):
@@ -96,7 +96,7 @@ def test_random_corpus_eval_encode_stage_tables_agree():
         if phi.is_efp0():
             efp0_count += 1
             assert max((len(c) for c in enc.cnf.clauses), default=0) <= 3
-            assert kres_saturate(enc.cnf, 3, stop_on_refutation=True).refuted == want
+            assert kres_refutes(enc.cnf, 3) == want
         total += 1
     assert efp0_count >= 20
 

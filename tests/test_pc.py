@@ -237,6 +237,18 @@ def test_monpc_extend_matches_cold_start():
             assert warm.basis.contains(dict(vec))
 
 
+def test_monpc_extend_rejects_bad_axioms():
+    # base closures over variables 1..3 at k = 2, with a quotient ({X1 X2}) and without
+    for base_axioms in ([P([((1, 2), 1)])], [P([((1,), 1), ((2,), 1)])]):
+        basis = monpc_saturate(PolySystem(Q, 3, base_axioms), 2).basis
+        with pytest.raises(UsageError):
+            monpc_extend(basis, [P([((4,), 1), ((), -1)])])  # variable num_vars + 1
+        with pytest.raises(DegreeOverflowError):
+            monpc_extend(basis, [P([((1, 2, 3), 1)])])
+        with pytest.raises(UsageError):
+            monpc_extend(basis, [P([((1,), 1)], Field(3))])
+
+
 def test_booleanity_flag_is_required_by_engines():
     system = PolySystem(Q, 1, [P([((1,), 2), ((), -1)])], booleanity=False)
     with pytest.raises(UsageError):
