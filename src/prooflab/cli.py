@@ -62,6 +62,9 @@ def _parse_field(text: str) -> algebra.Field:
     raise UsageError(f"field must be Q or Fp:<prime>, got {text!r}")
 
 
+CONFIG_KEYS = ("bases", "timeout")
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -73,7 +76,10 @@ def _load_config(path: str | None) -> dict:
         if "=" not in line:
             raise UsageError(f"bad config line {line!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"unknown config key {key!r} in {path}; use one of {CONFIG_KEYS}")
+        out[key] = value.strip()
     return out
 
 
@@ -230,7 +236,9 @@ def cmd_lfp(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = _load_config(args.config)
-    timeout = float(config.get("timeout", args.timeout))
+    with malformed_input(f"timeout in {args.config}"):
+        config_timeout = float(config.get("timeout", 300.0))
+    timeout = config_timeout if args.timeout is None else args.timeout  # a given flag wins
     if args.kind == "degree-growth":
         bases = (args.bases or config.get("bases", "k4,prism,cube,petersen")).split(",")
         field = _parse_field(args.field)
@@ -338,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--cycle-min", type=int, default=3)
     p.add_argument("--cycle-max", type=int, default=8)
-    p.add_argument("--timeout", type=float, default=300.0)
+    p.add_argument("--timeout", type=float, help="seconds per cell (default: the config's, "
+                   "else 300)")
     p.add_argument("--workers", type=int)
     p.add_argument("--no-cfi", action="store_true")
     p.add_argument("--config", help="line-oriented key=value file")

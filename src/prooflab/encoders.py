@@ -152,7 +152,6 @@ def _partial_homs(a: RelStructure, t: RelStructure, k: int) -> list:
             a.relations[r][0] != t.relations[r][0] for r in a.relations):
         raise UsageError("instance and template must share a vocabulary")
     out = [()]
-    universe = range(a.universe_size)
 
     def consistent(pmap: dict) -> bool:
         dom = set(pmap)
@@ -164,18 +163,19 @@ def _partial_homs(a: RelStructure, t: RelStructure, k: int) -> list:
                         return False
         return True
 
-    def extend(pmap: dict, frontier: int):
+    # an explicit stack of (map, least element it may still add): a
+    # recursive closure would hold these tables in a reference cycle
+    stack = [({}, 0)]
+    while stack:
+        pmap, frontier = stack.pop()
         for e in range(frontier, a.universe_size):
             for val in range(t.universe_size):
                 q = dict(pmap)
                 q[e] = val
                 if consistent(q):
-                    items = tuple(sorted(q.items()))
-                    out.append(items)
+                    out.append(tuple(sorted(q.items())))
                     if len(q) < k:
-                        extend(q, e + 1)
-
-    extend({}, 0)
+                        stack.append((q, e + 1))
     return sorted(set(out), key=lambda p: (len(p), p))
 
 

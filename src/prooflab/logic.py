@@ -350,7 +350,7 @@ def horn_encode(a: RelStructure, phi: LfpFormula) -> HornEncoding:
                     for name, b in binders.items()}
 
     var_map: dict = {}
-    pretty: dict = {}
+    todo: list = []  # (node, env, x) whose defining clauses are not written yet
     clauses: list = []
 
     def var_of(node, env) -> int:
@@ -363,17 +363,17 @@ def horn_encode(a: RelStructure, phi: LfpFormula) -> HornEncoding:
             # instantiations collapse onto one propositional variable
             fv = tuple(sorted(free_vars(node)))
             key = (node, tuple(term(v, env) for v in fv))
-        if key not in var_map:
-            var_map[key] = len(var_map) + 1
-        return var_map[key]
+        x = var_map.get(key)
+        if x is None:
+            x = var_map[key] = len(var_map) + 1
+            todo.append((node, env, x))
+        return x
 
-    def emit(node, env) -> int:
-        """Emit the clauses defining X_node under env; returns its variable."""
-        x = var_of(node, env)
-        m = (x, "done")
-        if m in pretty:
-            return x
-        pretty[m] = True
+    # a worklist, not recursion: LFP stages as deep as the universe is
+    # large would otherwise exceed the interpreter's recursion limit
+    top = var_of(phi.root, {})
+    while todo:
+        node, env, x = todo.pop()
         if isinstance(node, Atom):
             holds = a.holds(node.rel, tuple(term(t, env) for t in node.args)) != node.negated
             clauses.append([x] if holds else [-x])
@@ -381,30 +381,26 @@ def horn_encode(a: RelStructure, phi: LfpFormula) -> HornEncoding:
             holds = (term(node.left, env) == term(node.right, env)) != node.negated
             clauses.append([x] if holds else [-x])
         elif isinstance(node, Or):
-            clauses.append([-emit(node.left, env), x])
-            clauses.append([-emit(node.right, env), x])
+            clauses.append([-var_of(node.left, env), x])
+            clauses.append([-var_of(node.right, env), x])
         elif isinstance(node, And):
-            clauses.append([-emit(node.left, env), -emit(node.right, env), x])
+            clauses.append([-var_of(node.left, env), -var_of(node.right, env), x])
         elif isinstance(node, Exists):
             for e in universe:
-                clauses.append([-emit(node.body, {**env, node.var: e}), x])
+                clauses.append([-var_of(node.body, {**env, node.var: e}), x])
         elif isinstance(node, Forall):
-            body_vars = [emit(node.body, {**env, node.var: e}) for e in universe]
-            clauses.append([-v for v in body_vars] + [x])
+            clauses.append([-var_of(node.body, {**env, node.var: e}) for e in universe] + [x])
         elif isinstance(node, Lfp):
             vals = tuple(term(t, env) for t in node.args)
             inner_env = {**env, **dict(zip(node.vars, vals))}
-            clauses.append([-emit(node.body, inner_env), x])
+            clauses.append([-var_of(node.body, inner_env), x])
         elif isinstance(node, FpAtom):
             binder = binders[node.fp]
             vals = tuple(term(t, env) for t in node.args)
             inner_env = {**env, **dict(zip(binder.vars, vals))}
-            clauses.append([-emit(binder.body, inner_env), x])
+            clauses.append([-var_of(binder.body, inner_env), x])
         else:
             raise UsageError(f"unknown node {node!r}")
-        return x
-
-    top = emit(phi.root, {})
     clauses.append([-top])
     num_vars = len(var_map)
     cnf = CnfFormula(num_vars, clauses)

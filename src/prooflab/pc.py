@@ -67,10 +67,6 @@ class Polynomial:
     def constant(cls, field: Field, c) -> "Polynomial":
         return cls(field, [((), c)])
 
-    @classmethod
-    def variable(cls, field: Field, x: int) -> "Polynomial":
-        return cls(field, [((x,), 1)])
-
     @property
     def degree(self):
         return max((len(m) for m in self.terms), default=NEG_INF)
@@ -142,9 +138,6 @@ class PolySystem:
             if bad:
                 raise UsageError(f"axiom uses variables {bad} beyond num_vars={self.num_vars}")
 
-    def max_degree(self):
-        return max((p.degree for p in self.axioms), default=NEG_INF)
-
 
 def _primitive(vec: dict) -> dict:
     """Divide an integer row by the gcd of its coefficients."""
@@ -181,7 +174,7 @@ class Basis:
         self.k = k
         self.num_vars = num_vars
         self.vectors: dict = {}   # lead monomial -> {monomial: int coefficient}
-        self.lifted: set = set()  # span monomials whose variable lifts were emitted
+        self.lifted: set = set()  # leads whose variable lifts were emitted
         gens = {tuple(sorted(set(m))) for m in quotient}
         gens.discard(())  # a constant generator would be a refutation, not a quotient
         # nbr[v] has bit u set when {u, v} is a generator, and bit 0 when {v}
@@ -221,59 +214,55 @@ class Basis:
             return any(s.issuperset(g) for g in self._wide)
         return False
 
-    def free_monomials(self, d: int) -> list:
-        """The monomials of degree <= d outside the quotient, as (m, bits)
-        pairs with bits = 1 | sum of 1 << v over v in m, in graded lex order
-        from the constant up."""
-        out = []
-        # an explicit stack: a recursive closure would keep this basis in a
-        # reference cycle, alive until the cyclic collector runs
-        stack = [((), 1, 1)]
-        while stack:
-            m, bits, lo = stack.pop()
-            out.append((m, bits))
-            if len(m) < d:
-                for v in range(lo, self.num_vars + 1):
-                    m2 = m + (v,)
-                    if not self.in_quotient(m2):
-                        stack.append((m2, bits | 1 << v, v + 1))
-        out.sort(key=lambda mb: mono_key(mb[0]))
-        return out
-
-    def quotient_size(self) -> int:
-        """Number of monomials of degree <= k inside the quotient."""
-        if self._quotient_size is None:
-            total = sum(comb(self.num_vars, d) for d in range(self.k + 1))
-            self._quotient_size = total - self._count_free() if self._nbr else 0
-        return self._quotient_size
-
-    def _count_free(self) -> int:
-        """Count the monomials of degree <= k outside the quotient by a
-        walk over increasing variable sets, carrying as a bitmask the
-        variables that can still be added without hitting a generator."""
-        n, k, nbr, wide = self.num_vars, self.k, self._nbr, self._wide
+    def _walk(self, d: int):
+        """Yield (m, bits, cands) for the monomials m of degree <= d outside
+        the quotient, by a walk over increasing variable sets.  bits is 1 |
+        sum of 1 << v over v in m; cands has bit v set for the variables v
+        above max(m) that form no pair or single generator with m."""
+        n, wide = self.num_vars, self._wide
+        nbr = self._nbr or [0] * (n + 1)
         every = (1 << (n + 1)) - 2  # bits 1..n
         # partners[v]: variables above v that form no pair generator with v
         partners = [every & ~((2 << v) - 1) & ~nbr[v] for v in range(n + 1)]
         start = sum(1 << v for v in range(1, n + 1) if not nbr[v] & 1)
-
-        def walk(cands: int, chosen: tuple) -> int:
-            if len(chosen) == k:
-                return 0
-            if not wide and len(chosen) == k - 1:
-                return cands.bit_count()
-            count = 0
-            while cands:
-                low = cands & -cands
-                cands ^= low
+        # an explicit stack: a recursive closure would keep this basis in a
+        # reference cycle, alive until the cyclic collector runs
+        stack = [((), 1, start)]
+        while stack:
+            m, bits, cands = stack.pop()
+            yield m, bits, cands
+            if len(m) == d:
+                continue
+            rest = cands
+            while rest:
+                low = rest & -rest
+                rest ^= low
                 v = low.bit_length() - 1
-                m = chosen + (v,)
-                if wide and any(set(m).issuperset(g) for g in wide):
+                m2 = m + (v,)
+                if wide and any(set(m2).issuperset(g) for g in wide):
                     continue
-                count += 1 + walk(cands & partners[v], m)
-            return count
+                stack.append((m2, bits | low, cands & partners[v]))
 
-        return 1 + walk(start, ())
+    def free_monomials(self, d: int) -> list:
+        """The monomials of degree <= d outside the quotient, as (m, bits)
+        pairs as in _walk, in graded lex order from the constant up."""
+        return sorted(((m, bits) for m, bits, _ in self._walk(d)),
+                      key=lambda mb: mono_key(mb[0]))
+
+    def quotient_size(self) -> int:
+        """Number of monomials of degree <= k inside the quotient."""
+        if self._quotient_size is None:
+            k, size = self.k, 0
+            if self._nbr:
+                size = sum(comb(self.num_vars, d) for d in range(k + 1))
+                if self._wide:
+                    size -= sum(1 for _ in self._walk(k))
+                else:
+                    # the degree-k leaves below m are m + (v,) for v in cands
+                    for m, _, cands in self._walk(k - 1):
+                        size -= 1 + (cands.bit_count() if len(m) == k - 1 else 0)
+            self._quotient_size = size
+        return self._quotient_size
 
     @property
     def dimension(self) -> int:
@@ -329,7 +318,6 @@ class Basis:
         """
         vectors = self.vectors
         todo = [m for m in vec if m in vectors and m != skip]
-        rational = self.field.is_rational
         p = self.field.p
         while todo:
             m = todo.pop()
@@ -341,43 +329,32 @@ class Basis:
                     if t in vectors and t != m:
                         row = vectors[m] = self._reduce(dict(row), m, depth + 1)
                         break
-            if rational:
-                a, b = vec[m], row[m]
-                if b == 1:
-                    beta = a
-                else:
-                    g = gcd(a, b)
-                    alpha, beta = b // g, a // g
-                    if alpha != 1:
-                        for t in vec:
-                            vec[t] *= alpha
-                for t, c in row.items():
-                    s = vec.get(t)
-                    if s is None:
-                        vec[t] = -beta * c  # nonzero, as beta and c are
-                        if t in vectors:
-                            todo.append(t)  # only from a row past _TAIL_DEPTH
-                    else:
-                        s -= beta * c
-                        if s:
-                            vec[t] = s
-                        else:
-                            del vec[t]
+            # over F_p every row is monic, so only this first case arises
+            a, b = vec[m], row[m]
+            if b == 1:
+                beta = a
             else:
-                factor = vec[m] % p
-                for t, c in row.items():
-                    s = vec.get(t)
-                    if s is None:
-                        vec[t] = (-factor * c) % p  # nonzero: p is prime
-                        if t in vectors:
-                            todo.append(t)
+                g = gcd(a, b)
+                alpha, beta = b // g, a // g
+                if alpha != 1:
+                    for t in vec:
+                        vec[t] *= alpha
+            for t, c in row.items():
+                s = vec.get(t)
+                if s is None:
+                    s = -beta * c  # nonzero, as beta and c are and p is prime
+                    vec[t] = s if p is None else s % p
+                    if t in vectors:
+                        todo.append(t)  # only from a row past _TAIL_DEPTH
+                else:
+                    s -= beta * c
+                    if p is not None:
+                        s %= p
+                    if s:
+                        vec[t] = s
                     else:
-                        s = (s - factor * c) % p
-                        if s:
-                            vec[t] = s
-                        else:
-                            del vec[t]
-        return _primitive(vec) if rational else vec
+                        del vec[t]
+        return _primitive(vec) if p is None else vec
 
     def contains(self, vec) -> bool:
         if isinstance(vec, Polynomial):
@@ -416,7 +393,7 @@ class Basis:
             return True
         if m not in self.vectors:
             return False  # its own lead would have to carry the reduction
-        return not self._reduce({m: 1} if self.field.is_rational else {m: 1 % self.field.p})
+        return not self._reduce({m: 1})
 
 
 class SaturationResult(NamedTuple):
@@ -583,14 +560,13 @@ def _pc_rounds(basis: Basis, stop_early: bool) -> None:
     earlier round lifted, until no such row is left, or until a refutation
     appears if stop_early is set."""
     f, k, num_vars = basis.field, basis.k, basis.num_vars
-    lifted = set()  # leads of the rows already lifted
     while True:
-        fresh = sorted((lead for lead in basis.vectors if len(lead) < k and lead not in lifted),
-                       key=mono_key)
+        fresh = sorted((lead for lead in basis.vectors
+                        if len(lead) < k and lead not in basis.lifted), key=mono_key)
         if not fresh:
             return
         for lead in fresh:
-            lifted.add(lead)
+            basis.lifted.add(lead)
             row = basis.vectors[lead]
             for x in range(1, num_vars + 1):
                 if basis._absorb(_mul_var(f, row, x)) and stop_early and basis.refuted:

@@ -16,18 +16,6 @@ from .errors import UsageError
 Clause = FrozenSet[int]
 
 
-def clause(*lits: int) -> Clause:
-    return frozenset(lits)
-
-
-def clause_width(c: Clause) -> int:
-    return len(c)
-
-
-def is_tautology(c: Clause) -> bool:
-    return any(-lit in c for lit in c)
-
-
 @dataclass
 class CnfFormula:
     num_vars: int

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import prooflab
+from prooflab import experiments
 from prooflab.cli import cli_main
 
 
@@ -140,6 +141,10 @@ MALFORMED = [
      ["game", "solve", "game.json"]),
     ("lfp-param-no-eq", {"s.json": json.dumps({"n": 1, "relations": {}}), "phi.lfp": "(= s s)"},
      ["lfp", "eval", "--structure", "s.json", "--formula", "phi.lfp", "--param", "s"]),
+    ("config-bad-timeout", {"exp.cfg": "timeout=abc\n"},
+     ["experiment", "csp-sweep", "--cycle-min", "3", "--cycle-max", "3", "--config", "exp.cfg"]),
+    ("config-unknown-key", {"exp.cfg": "k_max=1\n"},
+     ["experiment", "csp-sweep", "--cycle-min", "3", "--cycle-max", "3", "--config", "exp.cfg"]),
 ]
 
 
@@ -193,6 +198,22 @@ def test_experiment_config_file(tmp_path, capsys):
     assert code == 0
     (row,) = json.loads(json_path.read_text())
     assert row["cycle"] == 3 and row["agree"]
+
+
+@pytest.mark.parametrize("config,flags,want", [
+    ("timeout=90\n", ["--timeout", "0.3"], 0.3),  # a given flag wins
+    ("timeout=90\n", [], 90.0),
+    (None, [], 300.0),
+], ids=["flag-wins", "config", "default"])
+def test_experiment_timeout_precedence(tmp_path, capsys, monkeypatch, config, flags, want):
+    seen = []
+    monkeypatch.setattr(experiments, "experiment_csp_sweep",
+                        lambda **kw: seen.append(kw["timeout_s"]) or [])
+    if config is not None:
+        (tmp_path / "exp.cfg").write_text(config)
+        flags = flags + ["--config", str(tmp_path / "exp.cfg")]
+    code, _ = run(capsys, "experiment", "csp-sweep", *flags)
+    assert code == 0 and seen == [want]
 
 
 def test_experiment_csp_sweep(tmp_path, capsys):

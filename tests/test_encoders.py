@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 
@@ -9,7 +10,7 @@ from prooflab.encoders import (brute_force_homomorphism, clique_structure,
                                encode_iso_poly_colored, encode_kconsistency_cnf,
                                encode_nonreach, k_consistency)
 from prooflab.errors import UsageError
-from prooflab.logic import RelStructure
+from prooflab.logic import RelStructure, horn_encode, parse_formula
 from prooflab.pc import min_refutation_degree, monpc_saturate
 from prooflab.resolution import horn_refute, kres_refutes, kres_saturate
 from prooflab.wl import ColoredGraph, wl_sweep
@@ -193,3 +194,28 @@ def test_kconsistency_cnf_is_dual_horn():
     cnf = encode_kconsistency_cnf(cycle_structure(4), clique_structure(2), 3)
     for c in cnf.clauses:
         assert sum(1 for lit in c if lit < 0) <= 1
+
+
+def test_encoders_and_closures_leave_no_reference_cycles():
+    """Each call frees all it built by reference counting alone: with the
+    cyclic collector off, a collection afterwards finds nothing."""
+    path = RelStructure(30, {"E": (2, frozenset((i, i + 1) for i in range(29)))})
+    reach = parse_formula("(lfp R (x) (or (= x s) (exists y (and (R y) (E y x)))) t)",
+                          {"s": 0, "t": 29})
+    c5, k2 = cycle_structure(5), clique_structure(2)
+    # the 4-path against the 4-cycle: its conflict axioms are single terms
+    system = encode_iso_poly(4, [(0, 1), (1, 2), (2, 3)], 4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    calls = {
+        "horn_encode": lambda: horn_encode(path, reach),
+        "k_consistency": lambda: k_consistency(c5, k2, 3),
+        "encode_kconsistency_cnf": lambda: encode_kconsistency_cnf(c5, k2, 3),
+        "monpc_saturate": lambda: monpc_saturate(system, 2).basis.quotient_size(),
+    }
+    gc.disable()
+    try:
+        gc.collect()
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()

@@ -101,6 +101,18 @@ def test_random_corpus_eval_encode_stage_tables_agree():
     assert efp0_count >= 20
 
 
+def test_horn_encode_deep_lfp_stages():
+    """On a path the reachability stages are as deep as the path is long.
+    A compiler that recursed once per instantiated subformula ran out of
+    stack at the default recursion limit (1000) from 247 vertices up."""
+    n = 300
+    edges = frozenset((i, i + 1) for i in range(n - 1))
+    for size, t, holds in ((n, n - 1, True), (n + 1, n, False)):  # n: an isolated vertex
+        a = RelStructure(size, {"E": (2, edges)})
+        enc = horn_encode(a, parse_formula(REACH, {"s": 0, "t": t}))
+        assert horn_refute(enc.cnf).refuted is holds
+
+
 def test_encoding_size_linear_in_instantiations():
     a = random_structure(random.Random(5), max_n=4)
     phi = parse_formula("(exists x (exists y (and (E x y) (P y))))")
