@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .errors import UsageError
+from .errors import UsageError, malformed_input
 from .logic import RelStructure
 
 
@@ -81,10 +81,11 @@ BASE_LIBRARY = {"k4": K4, "prism": PRISM, "cube": CUBE, "petersen": PETERSEN}
 
 def parse_base_graph(text: str) -> CfiBase:
     """Text format: first line `n m`, then m lines `u v` (0-indexed)."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    n, m = map(int, lines[0].split())
-    edges = [tuple(map(int, ln.split())) for ln in lines[1:m + 1]]
-    return CfiBase(n, edges)
+    with malformed_input("base graph text"):
+        lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+        n, m = map(int, lines[0].split())
+        edges = [tuple(map(int, ln.split())) for ln in lines[1:m + 1]]
+        return CfiBase(n, edges)
 
 
 def format_base_graph(base: CfiBase) -> str:

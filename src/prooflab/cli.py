@@ -132,9 +132,9 @@ def cmd_res(args) -> int:
         res = resolution.horn_refute(f)
         _emit({"refuted": res.refuted, "derived_units": sorted(res.derived_units)})
         return _verdict_exit(res.refuted)
-    res = resolution.kres_saturate(f, args.width, premise_wide=args.premise_wide)
-    _emit({"refuted": res.refuted, "derived_clauses": len(res.derived), "width": args.width})
-    return _verdict_exit(res.refuted)
+    refuted = resolution.kres_refutes(f, args.width)
+    _emit({"refuted": refuted, "width": args.width})
+    return _verdict_exit(refuted)
 
 
 def cmd_pc(args) -> int:
@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("engine", choices=["horn", "kres"])
     p.add_argument("cnf", help="DIMACS file or - for stdin")
     p.add_argument("--width", type=int, default=3)
-    p.add_argument("--premise-wide", action="store_true")
     p.set_defaults(func=cmd_res)
 
     p = sub.add_parser("pc", help="polynomial calculus saturation")

@@ -21,5 +21,5 @@ def malformed_input(what: str):
         yield
     except UsageError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc

@@ -16,7 +16,7 @@ import os
 import time
 from typing import Optional
 
-from .algebra import Field, RATIONALS
+from .algebra import Field, RATIONALS, is_prime
 from .cfi import BASE_LIBRARY, to_graph, twisted_pair
 from .encoders import (brute_force_homomorphism, clique_structure, cycle_structure,
                        encode_iso_poly, encode_iso_poly_colored, encode_kconsistency_cnf,
@@ -171,8 +171,12 @@ def experiment_degree_growth(bases: list, p: int = 2, field: Field = RATIONALS,
     for b in bases:
         if b not in BASE_LIBRARY:
             raise UsageError(f"unknown base graph {b!r}; shipped: {sorted(BASE_LIBRARY)}")
+    if not is_prime(p):
+        raise UsageError(f"the CFI p must be prime, got {p}")
     if field.p == p:
         raise UsageError("field characteristic must differ from the CFI prime")
+    if k_max < 1 or dim_max < 1:
+        raise UsageError(f"k_max and dim_max must be >= 1, got {k_max} and {dim_max}")
     by_size = sorted(bases, key=lambda b: BASE_LIBRARY[b].n)
     # largest base first: its cell bounds the wall time, so it should not
     # wait in the queue behind the small ones
@@ -251,6 +255,8 @@ def experiment_wl_calibrate(k_max: int = 4, dim_max: int = 3,
                             pairs: Optional[list] = None) -> dict:
     """Fit the single offset between minimal refutation degree and WL
     dimension over the calibration corpus; rows keep the per-pair data."""
+    if k_max < 1 or dim_max < 1:
+        raise UsageError(f"k_max and dim_max must be >= 1, got {k_max} and {dim_max}")
     if pairs is None:
         pairs = calibration_pairs(include_cfi)
     cells = [(name, _calibration_cell, (name, g, h, colored, k_max, dim_max))
@@ -268,6 +274,8 @@ def experiment_csp_sweep(cycle_min: int = 3, cycle_max: int = 8, k: int = 3,
                          workers: Optional[int] = None) -> list:
     """Two-coloring dichotomy sweep: direct k-consistency, resolution on the
     clause encoding, and brute-force homomorphism, per cycle."""
+    if k < 1:
+        raise UsageError(f"k must be >= 1, got {k}")
     cells = [(n, _csp_cell, (n, k)) for n in range(cycle_min, cycle_max + 1)]
     results = run_cells(cells, timeout_s, workers)
     return [results[n] for n in range(cycle_min, cycle_max + 1)]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import combinations, count
 from typing import FrozenSet, Iterable, NamedTuple
 
 from .errors import UsageError
@@ -83,19 +85,18 @@ def horn_refute(f: CnfFormula) -> HornResult:
     return HornResult(refuted, frozenset(derived))
 
 
-def kres_saturate(f: CnfFormula, k: int, premise_wide: bool = False) -> KresResult:
+def kres_saturate(f: CnfFormula, k: int) -> KresResult:
     """Width-k resolution: saturate the clauses of width <= k under resolution.
 
     derived is the least set containing the input clauses of width <= k and
     closed under resolving two members whenever the resolvent has width <= k.
-    Tautological resolvents are dropped.  Input clauses wider than k are
-    excluded entirely; with premise_wide they may serve as premises (their
-    resolvents still must fit within k) but never join the derived set.
+    Tautological resolvents are dropped and input clauses wider than k are
+    excluded.  This is the exact-closure reference; kres_refutes gives the
+    same verdict without materialising the closure.
     """
     if k < 1:
         raise UsageError("width bound k must be >= 1")
     derived: set[Clause] = {c for c in f.clauses if len(c) <= k}
-    wide = [c for c in f.clauses if len(c) > k] if premise_wide else []
 
     index: dict[int, list[Clause]] = {}
 
@@ -106,10 +107,9 @@ def kres_saturate(f: CnfFormula, k: int, premise_wide: bool = False) -> KresResu
     # the closure is order-independent, so the queue order is only a
     # processing schedule; each unordered pair meets when its later member
     # is popped against the index
-    initial = sorted(derived | set(wide), key=lambda c: sorted(c))
-    for c in initial:
+    queue = deque(sorted(derived, key=lambda c: sorted(c)))
+    for c in queue:
         register(c)
-    queue = deque(initial)
     while queue:
         c = queue.popleft()
         for lit in c:
@@ -139,31 +139,25 @@ def kres_refutes(f: CnfFormula, k: int) -> bool:
     Same answer as kres_saturate(f, k).refuted: a subsuming clause can
     stand in for any clause in every width-bounded resolution step, so
     pruning preserves derivability of the empty clause while keeping the
-    working set small.  Use this for verdicts on formulas whose exact
-    width-k closure is too large to materialise.
+    working set small, and the width-k closure is never materialised.
     """
     if k < 1:
         raise UsageError("width bound k must be >= 1")
-    start = [c for c in f.clauses if len(c) <= k]
-
-    from heapq import heappop, heappush
-    from itertools import combinations as _comb
+    if frozenset() in f.clauses:
+        return True
 
     alive: set[Clause] = set()
     index: dict[int, list[Clause]] = {}
 
-    def subsumed(c: Clause) -> bool:
-        for r in range(len(c) + 1):
-            for sub in _comb(sorted(c), r):
-                if frozenset(sub) in alive:
-                    return True
-        return False
-
     def add(c: Clause) -> bool:
-        if subsumed(c):
-            return False
-        for d in [d for d in alive if c < d]:
-            alive.discard(d)  # lazily dead in the index
+        if any(frozenset(sub) in alive
+               for r in range(len(c) + 1) for sub in combinations(c, r)):
+            return False  # forward-subsumed
+        # every strict superset of c contains each literal of c, so the
+        # shortest index list of c's literals holds them all
+        for d in min((index.get(lit, ()) for lit in c), key=len):
+            if d in alive and c < d:
+                alive.discard(d)  # lazily dead in the index
         alive.add(c)
         for lit in c:
             index.setdefault(lit, []).append(c)
@@ -172,13 +166,10 @@ def kres_refutes(f: CnfFormula, k: int) -> bool:
     # schedule small clauses first: units subsume aggressively, which keeps
     # the working set (and the partner lists) short
     heap: list = []
-    counter = 0
-    for c in sorted(start, key=lambda c: (len(c), sorted(c))):
-        if add(c):
-            heappush(heap, (len(c), counter, c))
-            counter += 1
-    if frozenset() in alive:
-        return True
+    tick = count()
+    for c in sorted(f.clauses, key=lambda c: (len(c), sorted(c))):
+        if len(c) <= k and add(c):
+            heappush(heap, (len(c), next(tick), c))
 
     while heap:
         _, _, c = heappop(heap)
@@ -199,11 +190,10 @@ def kres_refutes(f: CnfFormula, k: int) -> bool:
                 if not resolvent:
                     return True
                 if add(resolvent):
-                    heappush(heap, (len(resolvent), counter, resolvent))
-                    counter += 1
+                    heappush(heap, (len(resolvent), next(tick), resolvent))
             if c not in alive:
                 break  # c got back-subsumed by one of its own resolvents
-    return frozenset() in alive
+    return False
 
 
 def two_sat_oracle(f: CnfFormula) -> bool:

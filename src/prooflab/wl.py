@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .errors import UsageError
+from .errors import UsageError, malformed_input
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,19 @@ class ColoredGraph:
 def parse_colored_graph(text: str) -> ColoredGraph:
     """Base-graph text format plus an optional `colors c0 c1 ...` line;
     the edge list becomes a single symmetric relation E."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    n, m = map(int, lines[0].split())
-    pairs = set()
-    colors = None
-    for ln in lines[1:]:
-        if ln.startswith("colors"):
-            colors = tuple(int(c) for c in ln.split()[1:])
-            continue
-        u, v = map(int, ln.split())
-        pairs.add((u, v))
-        pairs.add((v, u))
-    return ColoredGraph(n, colors, {"E": frozenset(pairs)})
+    with malformed_input("graph text"):
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+        n, m = map(int, lines[0].split())
+        pairs = set()
+        colors = None
+        for ln in lines[1:]:
+            if ln.startswith("colors"):
+                colors = tuple(int(c) for c in ln.split()[1:])
+                continue
+            u, v = map(int, ln.split())
+            pairs.add((u, v))
+            pairs.add((v, u))
+        return ColoredGraph(n, colors, {"E": frozenset(pairs)})
 
 
 def _relation_names(g: ColoredGraph, h: ColoredGraph) -> list:

@@ -9,12 +9,24 @@ import pytest
 import prooflab
 from prooflab import experiments
 from prooflab.cli import cli_main
+from prooflab.encoders import clique_structure, cycle_structure, encode_kconsistency_cnf
+from prooflab.resolution import write_dimacs
 
 
 def run(capsys, *argv):
     code = cli_main(list(argv))
     out = capsys.readouterr()
     return code, out.out
+
+
+def run_module(cwd, argv, timeout):
+    """Run `python -m prooflab.cli` in a subprocess, so that a traceback or
+    a hang shows up as what a shell user would see."""
+    src = str(Path(prooflab.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-m", "prooflab.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def test_pc_refuted_exit_code(tmp_path, capsys):
@@ -43,6 +55,16 @@ def test_res_horn_on_dimacs(tmp_path, capsys):
     code, out = run(capsys, "res", "horn", str(path))
     assert code == 10
     assert json.loads(out)["derived_units"] == [1]
+
+
+def test_res_kres_verdicts(tmp_path):
+    # 3-consistency refutes 2-colouring the odd cycle C5 but not the even C4
+    for n, code, refuted in ((5, 10, True), (4, 11, False)):
+        cnf = encode_kconsistency_cnf(cycle_structure(n), clique_structure(2), 3)
+        (tmp_path / "f.cnf").write_text(write_dimacs(cnf))
+        proc = run_module(tmp_path, ["res", "kres", "f.cnf", "--width", "3"], timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert json.loads(proc.stdout) == {"refuted": refuted, "width": 3}
 
 
 def test_wl_identical_graphs(tmp_path, capsys):
@@ -134,6 +156,9 @@ MALFORMED = [
      ["lfp", "eval", "--structure", "s.json", "--formula", "phi.lfp"]),
     ("wl-no-n", {"g.json": json.dumps({"relations": {}})},
      ["wl", "--g", "g.json", "--h", "g.json"]),
+    ("wl-graph-text-bad", {"g.graph": "x y\n"}, ["wl", "--g", "g.graph", "--h", "g.graph"]),
+    ("wl-graph-empty", {"g.graph": ""}, ["wl", "--g", "g.graph", "--h", "g.graph"]),
+    ("cfi-base-text-bad", {"b.graph": "x y\n"}, ["cfi", "aut", "--base", "b.graph"]),
     ("csp-no-n", {"a.json": json.dumps({"relations": {}}),
                   "t.json": json.dumps({"n": 2, "relations": {}})},
      ["csp", "check", "--instance", "a.json", "--template", "t.json"]),
@@ -145,6 +170,9 @@ MALFORMED = [
      ["experiment", "csp-sweep", "--cycle-min", "3", "--cycle-max", "3", "--config", "exp.cfg"]),
     ("config-unknown-key", {"exp.cfg": "k_max=1\n"},
      ["experiment", "csp-sweep", "--cycle-min", "3", "--cycle-max", "3", "--config", "exp.cfg"]),
+    ("exp-p-not-prime", {}, ["experiment", "degree-growth", "--bases", "k4", "--p", "4"]),
+    ("exp-k-zero", {}, ["experiment", "csp-sweep", "--cycle-min", "3", "--cycle-max", "3",
+                        "--k", "0"]),
 ]
 
 
@@ -153,11 +181,7 @@ MALFORMED = [
 def test_malformed_input_exits_2(tmp_path, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    src = str(Path(prooflab.__file__).resolve().parent.parent)
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-m", "prooflab.cli", *argv], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_module(tmp_path, argv, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "usage error:" in proc.stderr
     assert "Traceback" not in proc.stderr

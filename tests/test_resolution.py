@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_cnf, random_horn_cnf, sat_oracle
+from prooflab.encoders import clique_structure, cycle_structure, encode_kconsistency_cnf
 from prooflab.errors import UsageError
 from prooflab.resolution import (CnfFormula, horn_refute, kres_refutes,
                                  kres_saturate, read_dimacs, two_sat_oracle,
@@ -61,7 +62,6 @@ def test_kres_wide_clauses_excluded_by_default():
     # the only contradiction runs through a width-3 clause
     f = CnfFormula(3, [[1, 2, 3], [-1], [-2], [-3]])
     assert not kres_saturate(f, 2).refuted
-    assert kres_saturate(f, 2, premise_wide=True).refuted
     assert kres_saturate(f, 3).refuted
 
 
@@ -98,6 +98,34 @@ def test_kres_refutes_agrees_with_saturation():
         f = random_cnf(rng, rng.randint(1, 8), rng.randint(1, 20), max_width=3)
         for k in (2, 3):
             assert kres_refutes(f, k) == kres_saturate(f, k).refuted
+
+
+def test_kres_refutes_empty_input_clause():
+    assert kres_refutes(CnfFormula(2, [[], [1, 2]]), 1)
+
+
+def _rename(f: CnfFormula, rng: random.Random) -> CnfFormula:
+    """f with its variable ids permuted and a random set of variables
+    negated in every clause."""
+    perm = list(range(1, f.num_vars + 1))
+    rng.shuffle(perm)
+    sign = {v: rng.choice((1, -1)) for v in perm}
+    return CnfFormula(f.num_vars, [[sign[abs(l)] * perm[abs(l) - 1] * (1 if l > 0 else -1)
+                                    for l in c] for c in f.clauses])
+
+
+def test_kres_refutes_invariant_under_renaming_and_polarity():
+    # the formulas of test_kres_refutes_agrees_with_saturation, then the
+    # 3-consistency encodings of C3..C7 against K2
+    rng = random.Random(500)
+    randoms = [random_cnf(rng, rng.randint(1, 8), rng.randint(1, 20), max_width=3)
+               for _ in range(150)]
+    k2 = clique_structure(2)
+    cases = [(f, k) for f in randoms for k in (2, 3)]
+    cases += [(encode_kconsistency_cnf(cycle_structure(n), k2, 3), 3) for n in range(3, 8)]
+    rename = random.Random(501)
+    for f, k in cases:
+        assert kres_refutes(_rename(f, rename), k) == kres_refutes(f, k)
 
 
 def test_kres_tautological_inputs_are_harmless():
