@@ -58,8 +58,12 @@ def run_cells(cells: list, timeout_s: float, workers: Optional[int] = None) -> d
     Each cell yields ("progress", dict) messages and may finish normally;
     the result per key is the merged progress dict plus a status of
     "done", "timeout", or "error".  Results merge deterministically by key.
+    `workers` defaults to min(4, cpu_count) and must be at least 1.
     """
-    workers = workers or min(4, os.cpu_count() or 1)
+    if workers is None:
+        workers = min(4, os.cpu_count() or 1)
+    elif workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
     results: dict = {}
     pending = list(cells)
     running: list = []

@@ -16,6 +16,10 @@ from typing import Optional
 from .errors import UsageError, malformed_input
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ColoredGraph:
     n: int
@@ -23,18 +27,23 @@ class ColoredGraph:
     relations: dict        # name -> frozenset of ordered pairs
 
     def __init__(self, n: int, colors=None, relations=None):
+        if not _is_int(n) or n < 0:
+            raise UsageError(f"vertex count must be a non-negative integer, got {n!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "colors", tuple(colors) if colors is not None else (0,) * n)
+        if len(self.colors) != n:
+            raise UsageError("colors must assign every vertex")
+        if not all(map(_is_int, self.colors)):
+            raise UsageError("colors must be integers")
         rels = {}
         for name, pairs in (relations or {}).items():
             pairs = frozenset(tuple(p) for p in pairs)
             for (u, v) in pairs:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise UsageError(f"relation {name} mentions vertex outside range")
+                if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
+                    raise UsageError(f"relation {name} mentions a vertex that is not "
+                                     f"an integer in range(0, {n})")
             rels[name] = pairs
         object.__setattr__(self, "relations", rels)
-        if len(self.colors) != n:
-            raise UsageError("colors must assign every vertex")
 
 
 def parse_colored_graph(text: str) -> ColoredGraph:
@@ -55,31 +64,21 @@ def parse_colored_graph(text: str) -> ColoredGraph:
         return ColoredGraph(n, colors, {"E": frozenset(pairs)})
 
 
-def _relation_names(g: ColoredGraph, h: ColoredGraph) -> list:
-    return sorted(set(g.relations) | set(h.relations))
+def _pair_codes(x: ColoredGraph, names: list) -> list:
+    """code[u][v] has bit 0 set iff u == v and bit i+1 iff (u, v) is in the
+    relation names[i]; absent names count as empty relations."""
+    code = [[int(u == v) for v in range(x.n)] for u in range(x.n)]
+    for i, name in enumerate(names):
+        for (u, v) in x.relations.get(name, ()):
+            code[u][v] |= 2 << i
+    return code
 
 
-def _atom(g: ColoredGraph, rels: list, tup: tuple) -> tuple:
-    """Ordered isomorphism type of a tuple: colors, equalities, relations."""
-    cols = tuple(g.colors[v] for v in tup)
-    pattern = []
-    for i, u in enumerate(tup):
-        for j, v in enumerate(tup):
-            if i == j:
-                continue
-            bits = (u == v,) + tuple((u, v) in g.relations.get(r, ()) for r in rels)
-            pattern.append(bits)
-    return (cols, tuple(pattern))
-
-
-def _ext_atom(g: ColoredGraph, rels: list, tup: tuple, w: int) -> tuple:
-    """Relation/equality pattern between a fresh vertex and the tuple."""
-    out = []
-    for u in tup:
-        out.append((u == w,)
-                   + tuple((u, w) in g.relations.get(r, ()) for r in rels)
-                   + tuple((w, u) in g.relations.get(r, ()) for r in rels))
-    return tuple(out)
+def _recolor(sigs_g: list, sigs_h: list) -> tuple:
+    """Number the sorted union of both graphs' signatures; return each
+    graph's color list and the joint number of colors."""
+    palette = {sig: c for c, sig in enumerate(sorted(set(sigs_g).union(sigs_h)))}
+    return [palette[s] for s in sigs_g], [palette[s] for s in sigs_h], len(palette)
 
 
 def wl_distinguishes(g: ColoredGraph, h: ColoredGraph, dim: int = 1) -> bool:
@@ -89,64 +88,56 @@ def wl_distinguishes(g: ColoredGraph, h: ColoredGraph, dim: int = 1) -> bool:
     a tuple's signature combines its color with the multiset, over all
     vertices w of its own graph, of the extension pattern of w against the
     tuple and the colors of the tuples with w substituted at each position.
-    The extension patterns and substitution indices never change across
-    rounds, so they are interned once and rounds are integer table work.
+    Tuple i is the i-th tuple of product(range(n), repeat=dim), so the
+    tuples with w substituted at position j are a strided slice of the
+    color list. Extension patterns never change across rounds, so they are
+    interned once and rounds are integer table work.
     """
     if dim < 1:
         raise UsageError("dimension must be >= 1")
     if g.n != h.n:
         return True
-    rels = _relation_names(g, h)
-    shared_ext: dict = {}
+    n = g.n
+    names = sorted(set(g.relations) | set(h.relations))
+    strides = [n ** (dim - 1 - j) for j in range(dim)]
+    offdiag = [(a, b) for a in range(dim) for b in range(dim) if a != b]
+    ext_ids: dict = {}
 
-    def tables_shared(x: ColoredGraph):
-        tuples = list(product(range(x.n), repeat=dim))
-        index = {t: i for i, t in enumerate(tuples)}
-        init = [_atom(x, rels, t) for t in tuples]
-        subs = []
-        for t in tuples:
-            row = []
-            for w in range(x.n):
-                ext = _ext_atom(x, rels, t, w)
-                code = shared_ext.setdefault(ext, len(shared_ext))
-                row.append((code,) + tuple(index[t[:i] + (w,) + t[i + 1:]] for i in range(dim)))
-            subs.append(row)
-        return init, subs
+    def atoms(x: ColoredGraph, code: list) -> list:
+        return [tuple(x.colors[v] for v in t) + tuple(code[t[a]][t[b]] for a, b in offdiag)
+                for t in product(range(n), repeat=dim)]
 
-    init_g, subs_g = tables_shared(g)
-    init_h, subs_h = tables_shared(h)
+    def extensions(code: list) -> list:
+        """Per tuple, the interned pattern (code[u][w], code[w][u] for u in t) of each w."""
+        cols = list(zip(*code))
+        return [tuple(ext_ids.setdefault(p, len(ext_ids))
+                      for p in zip(*[r for u in t for r in (code[u], cols[u])]))
+                for t in product(range(n), repeat=dim)]
 
-    palette: dict = {}
-    for sig in sorted(set(init_g) | set(init_h)):
-        palette.setdefault(sig, len(palette))
-    col_g = [palette[s] for s in init_g]
-    col_h = [palette[s] for s in init_h]
-
-    def histogram(col):
-        out: dict = {}
-        for c in col:
-            out[c] = out.get(c, 0) + 1
-        return out
-
-    while True:
-        if histogram(col_g) != histogram(col_h):
-            return True  # refinement only splits classes, so this is final
-        ncolors = len(set(col_g) | set(col_h))
+    def signatures(col: list, ext: list, multisets: dict) -> list:
+        """(own color, id of the multiset around the tuple) per tuple; the
+        ids come from `multisets`, which both graphs share in a round."""
         sigs = []
-        for col, subs in ((col_g, subs_g), (col_h, subs_h)):
-            new = []
-            for ti, row in enumerate(subs):
-                around = sorted((entry[0],) + tuple(col[j] for j in entry[1:]) for entry in row)
-                new.append((col[ti], tuple(around)))
-            sigs.append(new)
-        palette = {}
-        for sig in sorted(set(sigs[0]) | set(sigs[1])):
-            palette.setdefault(sig, len(palette))
-        col_g = [palette[s] for s in sigs[0]]
-        col_h = [palette[s] for s in sigs[1]]
-        newcolors = len(set(col_g) | set(col_h))
-        if newcolors == ncolors:
-            return histogram(col_g) != histogram(col_h)
+        for i, (t, row) in enumerate(zip(product(range(n), repeat=dim), ext)):
+            subs = (col[i - v * s:i + (n - v) * s:s] for v, s in zip(t, strides))
+            key = tuple(sorted(zip(row, *subs)))
+            sigs.append((col[i], multisets.setdefault(key, len(multisets))))
+        return sigs
+
+    code_g, code_h = _pair_codes(g, names), _pair_codes(h, names)
+    ext_g, ext_h = extensions(code_g), extensions(code_h)
+    col_g, col_h, count = _recolor(atoms(g, code_g), atoms(h, code_h))
+    while sorted(col_g) == sorted(col_h):
+        multisets: dict = {}
+        col_g, col_h, new = _recolor(signatures(col_g, ext_g, multisets),
+                                     signatures(col_h, ext_h, multisets))
+        if new == count:
+            # a signature holds the tuple's own color, so refinement only
+            # splits classes; an unchanged count means nothing split and the
+            # histograms are the ones just found equal
+            return False
+        count = new
+    return True  # refinement only splits classes, so this is final
 
 
 def wl_sweep(g: ColoredGraph, h: ColoredGraph, dim_max: int) -> Optional[int]:

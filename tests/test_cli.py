@@ -158,6 +158,10 @@ MALFORMED = [
      ["wl", "--g", "g.json", "--h", "g.json"]),
     ("wl-graph-text-bad", {"g.graph": "x y\n"}, ["wl", "--g", "g.graph", "--h", "g.graph"]),
     ("wl-graph-empty", {"g.graph": ""}, ["wl", "--g", "g.graph", "--h", "g.graph"]),
+    ("wl-graph-color-str", {"g.json": json.dumps({"n": 2, "colors": [0, "a"], "relations": {}})},
+     ["wl", "--g", "g.json", "--h", "g.json"]),
+    ("wl-graph-vertex-float", {"g.json": json.dumps({"n": 2, "relations": {"E": [[0.0, 1]]}})},
+     ["wl", "--g", "g.json", "--h", "g.json"]),
     ("cfi-base-text-bad", {"b.graph": "x y\n"}, ["cfi", "aut", "--base", "b.graph"]),
     ("csp-no-n", {"a.json": json.dumps({"relations": {}}),
                   "t.json": json.dumps({"n": 2, "relations": {}})},
@@ -173,6 +177,8 @@ MALFORMED = [
     ("exp-p-not-prime", {}, ["experiment", "degree-growth", "--bases", "k4", "--p", "4"]),
     ("exp-k-zero", {}, ["experiment", "csp-sweep", "--cycle-min", "3", "--cycle-max", "3",
                         "--k", "0"]),
+    ("exp-workers-negative", {}, ["experiment", "csp-sweep", "--cycle-min", "3",
+                                  "--cycle-max", "3", "--workers", "-1"]),
 ]
 
 

@@ -65,6 +65,15 @@ def test_run_cells_timeout_and_error_paths():
     assert "boom" in results["bad"]["error"]
 
 
+def test_run_cells_rejects_workers_below_one():
+    def cell():
+        yield ("progress", {})
+
+    for workers in (0, -1):
+        with pytest.raises(UsageError):
+            run_cells([("c", cell, ())], timeout_s=1.0, workers=workers)
+
+
 def test_rows_to_csv_escapes_structures():
     text = rows_to_csv([{"a": 1, "b": [1, 2]}, {"a": 2, "b": []}])
     lines = text.strip().splitlines()

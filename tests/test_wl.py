@@ -1,9 +1,14 @@
+import importlib.util
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 from conftest import brute_colored_iso
+from prooflab.cfi import BASE_LIBRARY, to_graph, twisted_pair
 from prooflab.errors import UsageError
+from prooflab.experiments import calibration_pairs
 from prooflab.wl import ColoredGraph, parse_colored_graph, wl_distinguishes, wl_sweep
 
 
@@ -102,3 +107,154 @@ def test_parse_colored_graph_text():
     assert g.n == 3
     assert g.colors == (0, 1, 0)
     assert (0, 1) in g.relations["E"] and (1, 0) in g.relations["E"]
+
+
+def test_non_integer_colors_and_vertices_rejected():
+    for colors in ([0, "a"], [0, None], [[0], [1]], [0, 1.0], [0, True]):
+        with pytest.raises(UsageError):
+            ColoredGraph(2, colors, {})
+    for pair in ((0.0, 1), (0, "1"), (False, 1)):
+        with pytest.raises(UsageError):
+            ColoredGraph(2, None, {"E": {pair}})
+    with pytest.raises(UsageError):
+        ColoredGraph(2.0, None, {})
+
+
+def _reference_wl(g, h, dim):
+    """The refinement as first written: per-tuple frozenset membership
+    tests for the atoms and extension patterns, a tuple-to-index dict for
+    the substitutions and a final recount of the histograms. An oracle for
+    the pair-code tables and strided substitutions of wl_distinguishes."""
+    rels = sorted(set(g.relations) | set(h.relations))
+
+    def atom(x, tup):
+        cols = tuple(x.colors[v] for v in tup)
+        pattern = []
+        for i, u in enumerate(tup):
+            for j, v in enumerate(tup):
+                if i != j:
+                    pattern.append((u == v,) + tuple((u, v) in x.relations.get(r, ()) for r in rels))
+        return (cols, tuple(pattern))
+
+    def ext_atom(x, tup, w):
+        return tuple((u == w,)
+                     + tuple((u, w) in x.relations.get(r, ()) for r in rels)
+                     + tuple((w, u) in x.relations.get(r, ()) for r in rels) for u in tup)
+
+    if g.n != h.n:
+        return True
+    shared_ext = {}
+
+    def tables(x):
+        tuples = list(product(range(x.n), repeat=dim))
+        index = {t: i for i, t in enumerate(tuples)}
+        subs = []
+        for t in tuples:
+            row = []
+            for w in range(x.n):
+                code = shared_ext.setdefault(ext_atom(x, t, w), len(shared_ext))
+                row.append((code,) + tuple(index[t[:i] + (w,) + t[i + 1:]] for i in range(dim)))
+            subs.append(row)
+        return [atom(x, t) for t in tuples], subs
+
+    def histogram(col):
+        out = {}
+        for c in col:
+            out[c] = out.get(c, 0) + 1
+        return out
+
+    def recolour(sigs):
+        palette = {}
+        for sig in sorted(set(sigs[0]) | set(sigs[1])):
+            palette.setdefault(sig, len(palette))
+        return [palette[s] for s in sigs[0]], [palette[s] for s in sigs[1]]
+
+    (init_g, subs_g), (init_h, subs_h) = tables(g), tables(h)
+    col_g, col_h = recolour((init_g, init_h))
+    while True:
+        if histogram(col_g) != histogram(col_h):
+            return True
+        ncolors = len(set(col_g) | set(col_h))
+        sigs = []
+        for col, subs in ((col_g, subs_g), (col_h, subs_h)):
+            sigs.append([(col[ti], tuple(sorted((e[0],) + tuple(col[j] for j in e[1:]) for e in row)))
+                         for ti, row in enumerate(subs)])
+        col_g, col_h = recolour(sigs)
+        if len(set(col_g) | set(col_h)) == ncolors:
+            return histogram(col_g) != histogram(col_h)
+
+
+def _random_graph(rng, n, names):
+    """Two colors and directed relations, loops included."""
+    return ColoredGraph(n, [rng.randint(0, 1) for _ in range(n)],
+                        {name: {(u, v) for u in range(n) for v in range(n) if rng.random() < 0.3}
+                         for name in names})
+
+
+def _relabelled(g, rng):
+    """g with its vertices renamed by a seeded permutation, colors and
+    every relation included."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    colors = [None] * g.n
+    for u, c in enumerate(g.colors):
+        colors[perm[u]] = c
+    return ColoredGraph(g.n, colors, {name: {(perm[u], perm[v]) for u, v in pairs}
+                                      for name, pairs in g.relations.items()})
+
+
+def _switched(rng, g, switches):
+    """A relabelling of g after `switches` random swaps (u, v), (x, y) ->
+    (u, y), (x, v) in one relation; each keeps every vertex's in- and
+    out-degree, so the pair is hard to split and often not split at all."""
+    rels = {name: set(pairs) for name, pairs in g.relations.items()}
+    for _ in range(switches):
+        pairs = rels[rng.choice(sorted(rels))]
+        if len(pairs) >= 2:
+            (u, v), (x, y) = rng.sample(sorted(pairs), 2)
+            if (u, y) not in pairs and (x, v) not in pairs:
+                pairs -= {(u, v), (x, y)}
+                pairs |= {(u, y), (x, v)}
+    return _relabelled(ColoredGraph(g.n, g.colors, rels), rng)
+
+
+def _rook_and_shrikhande():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return (ColoredGraph(16, None, {"E": oracles.rook_graph_edges()}),
+            ColoredGraph(16, None, {"E": oracles.shrikhande_edges()}))
+
+
+def test_agrees_with_reference_refinement():
+    rng = random.Random(53)
+    pairs = [(g, h) for _, g, h, _ in calibration_pairs(False)]
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        a = _random_graph(rng, n, ["E", "F"][:rng.randint(1, 2)])
+        pairs.append((a, _switched(rng, a, rng.randint(0, 2))))
+        if len(a.relations) == 2:
+            # the same pairs under swapped names: only the relation bits differ
+            pairs.append((a, ColoredGraph(n, a.colors, {"E": a.relations["F"],
+                                                         "F": a.relations["E"]})))
+    # equal out-degrees: only the in-edges of vertex 2 split this pair
+    pairs.append((ColoredGraph(4, None, {"E": {(0, 2), (1, 2)}}),
+                  ColoredGraph(4, None, {"E": {(0, 2), (1, 3)}})))
+    pairs.append(_rook_and_shrikhande())
+    for g, h in pairs:
+        for dim in (1, 2, 3):
+            assert wl_distinguishes(g, h, dim) == _reference_wl(g, h, dim), (g, h, dim)
+
+
+def test_cfi_pair_verdicts_stable_under_relabelling():
+    rng = random.Random(54)
+    a, b = twisted_pair(BASE_LIBRARY["k4"], 2)
+    ga, gb = to_graph(a), to_graph(b)
+    assert sorted(ga.relations) == ["A", "C", "I"]
+    ra, rb = _relabelled(ga, rng), _relabelled(gb, rng)
+    for dim in (1, 2):
+        assert wl_distinguishes(ga, gb, dim) is False
+        assert wl_distinguishes(ra, rb, dim) is False
+        assert not wl_distinguishes(ga, ra, dim)
+        assert not wl_distinguishes(gb, rb, dim)
