@@ -14,7 +14,7 @@ clauses at width 3 for universal-free formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import NamedTuple, Optional
 
@@ -115,19 +115,7 @@ class LfpFormula(NamedTuple):
     params: dict  # parameter name -> universe element
 
     def is_efp0(self) -> bool:
-        return not _has_forall(self.root)
-
-
-def _has_forall(node) -> bool:
-    if isinstance(node, Forall):
-        return True
-    if isinstance(node, (And, Or)):
-        return _has_forall(node.left) or _has_forall(node.right)
-    if isinstance(node, (Exists,)):
-        return _has_forall(node.body)
-    if isinstance(node, Lfp):
-        return _has_forall(node.body)
-    return False
+        return not any(isinstance(node, Forall) for node in _subformulas(self.root)[0])
 
 
 def _tokenize(text: str) -> list:
@@ -152,9 +140,6 @@ def _read(tokens: list, pos: int):
     return tok, pos + 1
 
 
-_KEYWORDS = {"and", "or", "not", "exists", "forall", "lfp", "="}
-
-
 def _fold(cls, parts):
     node = parts[0]
     for nxt in parts[1:]:
@@ -162,12 +147,22 @@ def _fold(cls, parts):
     return node
 
 
-def _build(sexp, bound_fps: dict, negated_ok=True):
+def _terms(parts) -> tuple:
+    """parts as a tuple of terms: a term is a name, never a parenthesised list."""
+    for t in parts:
+        if not isinstance(t, str):
+            raise UsageError(f"a term must be a name, not ({' '.join(map(str, t))})")
+    return tuple(parts)
+
+
+def _build(sexp, bound_fps: dict):
     if isinstance(sexp, str):
         raise UsageError(f"bare term {sexp!r} where a formula was expected")
     if not sexp:
         raise UsageError("empty () is not a formula")
     head = sexp[0]
+    if not isinstance(head, str):
+        raise UsageError("a formula must start with a keyword or a relation name")
     if head == "and" or head == "or":
         parts = [_build(s, bound_fps) for s in sexp[1:]]
         if not parts:
@@ -176,18 +171,14 @@ def _build(sexp, bound_fps: dict, negated_ok=True):
     if head == "not":
         if len(sexp) != 2:
             raise UsageError("(not ...) takes one argument")
-        inner = sexp[1]
-        if not isinstance(inner, list) or not inner:
-            raise UsageError("(not ...) must wrap an atom")
-        if inner[0] == "=":
-            return Eq(inner[1], inner[2], negated=True)
-        if inner[0] in _KEYWORDS or inner[0] in bound_fps:
+        inner = _build(sexp[1], bound_fps)
+        if not isinstance(inner, (Atom, Eq)) or inner.negated:
             raise UsageError("negation is allowed on input atoms only")
-        return Atom(inner[0], tuple(inner[1:]), negated=True)
+        return replace(inner, negated=True)
     if head == "=":
         if len(sexp) != 3:
             raise UsageError("(= ...) takes two terms")
-        return Eq(sexp[1], sexp[2])
+        return Eq(*_terms(sexp[1:]))
     if head == "exists" or head == "forall":
         if len(sexp) != 3 or not isinstance(sexp[1], str):
             raise UsageError(f"({head} var body)")
@@ -197,23 +188,19 @@ def _build(sexp, bound_fps: dict, negated_ok=True):
         if len(sexp) < 4 or not isinstance(sexp[1], str) or not isinstance(sexp[2], list):
             raise UsageError("(lfp R (vars...) body args...)")
         name = sexp[1]
-        if name in bound_fps:
-            raise UsageError(f"fixpoint name {name} bound twice")
-        fp_vars = tuple(sexp[2])
-        bound_fps = dict(bound_fps)
-        bound_fps[name] = len(fp_vars)
-        body = _build(sexp[3], bound_fps)
-        args = tuple(sexp[4:]) or fp_vars
+        fp_vars = _terms(sexp[2])
+        body = _build(sexp[3], {**bound_fps, name: len(fp_vars)})
+        args = _terms(sexp[4:]) or fp_vars
         if len(args) != len(fp_vars):
             raise UsageError(f"lfp {name} applied to {len(args)} terms, expected {len(fp_vars)}")
         return Lfp(name, fp_vars, body, args)
     if head in bound_fps:
-        args = tuple(sexp[1:])
+        args = _terms(sexp[1:])
         if len(args) != bound_fps[head]:
             raise UsageError(f"fixpoint atom {head} has wrong arity")
         return FpAtom(head, args)
     # input relation atom
-    return Atom(head, tuple(sexp[1:]))
+    return Atom(head, _terms(sexp[1:]))
 
 
 def parse_formula(text: str, params: Optional[dict] = None) -> LfpFormula:
@@ -222,6 +209,11 @@ def parse_formula(text: str, params: Optional[dict] = None) -> LfpFormula:
     if pos != len(tokens):
         raise UsageError("trailing tokens after formula")
     root = _build(sexp, {})
+    # two different binders may not share a name: the compiler maps a name to one binder
+    binders: dict = {}
+    for i, node in enumerate(_subformulas(root)[0]):
+        if isinstance(node, Lfp) and binders.setdefault(node.fp, i) != i:
+            raise UsageError(f"fixpoint name {node.fp} bound twice")
     return LfpFormula(root, dict(params or {}))
 
 
@@ -241,65 +233,73 @@ def free_vars(node) -> frozenset:
     raise UsageError(f"unknown node {node!r}")
 
 
-def _check_vocabulary(a: RelStructure, node):
-    if isinstance(node, Atom):
-        if node.rel not in a.relations:
-            raise UsageError(f"relation {node.rel} not in structure vocabulary")
-        if a.relations[node.rel][0] != len(node.args):
-            raise UsageError(f"atom {node.rel} has wrong arity")
-    elif isinstance(node, (And, Or)):
-        _check_vocabulary(a, node.left)
-        _check_vocabulary(a, node.right)
-    elif isinstance(node, (Exists, Forall)):
-        _check_vocabulary(a, node.body)
-    elif isinstance(node, Lfp):
-        _check_vocabulary(a, node.body)
+def _children(node) -> tuple:
+    """The subformulas directly below node."""
+    if isinstance(node, (And, Or)):
+        return (node.left, node.right)
+    if isinstance(node, (Exists, Forall, Lfp)):
+        return (node.body,)
+    return ()
 
 
-def _binders(node, out: dict):
-    if isinstance(node, Lfp):
-        out[node.fp] = node
-        _binders(node.body, out)
-    elif isinstance(node, (And, Or)):
-        _binders(node.left, out)
-        _binders(node.right, out)
-    elif isinstance(node, (Exists, Forall)):
-        _binders(node.body, out)
-    return out
+def _subformulas(root):
+    """Each structurally distinct subformula of root once, children before
+    parents and left before right (root last), and each one's child indices.
+    Equality is read off own fields and child indices: hashing whole nodes
+    recurses once per level, past the interpreter's limit on a long chain."""
+    subs, kids = [], []
+    index: dict = {}  # (type, own fields, child indices) -> index in subs
+    at: dict = {}  # id(node) -> index in subs, for the nodes walked so far
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        children = _children(node)
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(children))
+            continue
+        own = tuple(v for v in vars(node).values() if all(v is not c for c in children))
+        kid = [at[id(child)] for child in children]
+        key = (type(node), own, tuple(kid))
+        if key not in index:
+            index[key] = len(subs)
+            subs.append(node)
+            kids.append(kid)
+        at[id(node)] = index[key]
+    return subs, kids
 
 
-def _term_evaluator(a: RelStructure, phi: LfpFormula):
-    """Check phi against a's vocabulary and its free variables against its
-    parameters; return term(t, env), the element a term denotes under env."""
-    _check_vocabulary(a, phi.root)
+def _check(a: RelStructure, phi: LfpFormula):
+    """Check phi's free variables against its parameters, so that every term
+    is bound in an env that starts as phi.params, and its atoms against a's
+    vocabulary; return phi's _subformulas."""
     unresolved = free_vars(phi.root) - set(phi.params)
     if unresolved:
         raise UsageError(f"free variables {sorted(unresolved)} not bound by parameters")
-
-    def term(t, env):
-        if t in env:
-            return env[t]
-        if t in phi.params:
-            return phi.params[t]
-        raise UsageError(f"unbound term {t!r}")
-
-    return term
+    subs, kids = _subformulas(phi.root)
+    for node in subs:
+        if isinstance(node, Atom):
+            if node.rel not in a.relations:
+                raise UsageError(f"relation {node.rel} not in structure vocabulary")
+            if a.relations[node.rel][0] != len(node.args):
+                raise UsageError(f"atom {node.rel} has wrong arity")
+    return subs, kids
 
 
 def eval_poslfp(a: RelStructure, phi: LfpFormula) -> bool:
     """Least-fixed-point model checking by naive stage iteration."""
-    term = _term_evaluator(a, phi)
+    _check(a, phi)
     universe = range(a.universe_size)
 
     def ev(node, env, fps):
         if isinstance(node, Atom):
-            val = a.holds(node.rel, tuple(term(t, env) for t in node.args))
+            val = a.holds(node.rel, tuple(env[t] for t in node.args))
             return val != node.negated
         if isinstance(node, Eq):
-            val = term(node.left, env) == term(node.right, env)
+            val = env[node.left] == env[node.right]
             return val != node.negated
         if isinstance(node, FpAtom):
-            return tuple(term(t, env) for t in node.args) in fps[node.fp]
+            return tuple(env[t] for t in node.args) in fps[node.fp]
         if isinstance(node, And):
             return ev(node.left, env, fps) and ev(node.right, env, fps)
         if isinstance(node, Or):
@@ -323,15 +323,18 @@ def eval_poslfp(a: RelStructure, phi: LfpFormula) -> bool:
                 if new == stage:
                     break
                 stage = new
-            return tuple(term(t, env) for t in node.args) in stage
+            return tuple(env[t] for t in node.args) in stage
         raise UsageError(f"unknown node {node!r}")
 
-    return ev(phi.root, {}, {})
+    return ev(phi.root, dict(phi.params), {})
 
 
 class HornEncoding(NamedTuple):
     cnf: CnfFormula
-    var_map: dict  # printable instantiated-subformula key -> variable id
+    # key -> variable id; a key is (subformula id, values of its sorted free
+    # variables), or for a fixpoint atom (fixpoint name, argument values,
+    # values of its binder's outer variables)
+    var_map: dict
 
 
 def horn_encode(a: RelStructure, phi: LfpFormula) -> HornEncoding:
@@ -341,68 +344,63 @@ def horn_encode(a: RelStructure, phi: LfpFormula) -> HornEncoding:
     CNF is unsatisfiable iff the structure satisfies the sentence.  Inputs
     without universal quantifiers compile to clauses of width at most 3.
     """
-    term = _term_evaluator(a, phi)
+    # a subformula's id is its index in subs; equal subformulas share an id,
+    # and so a variable per instantiation
+    subs, kids = _check(a, phi)
     universe = range(a.universe_size)
-    binders = _binders(phi.root, {})
-    # an lfp binder may mention variables bound outside it; those extra
-    # values become part of every instantiation of its fixpoint atoms
-    binder_extra = {name: tuple(sorted(free_vars(b.body) - set(b.vars)))
-                    for name, b in binders.items()}
+    fvs = [tuple(sorted(free_vars(node))) for node in subs]  # per id, computed once
+    # fixpoint name -> (its variables, body id, outer variables): the values
+    # of variables bound outside a binder are part of its atoms' instantiations
+    binders = {node.fp: (node.vars, kids[i][0],
+                         tuple(v for v in fvs[kids[i][0]] if v not in node.vars))
+               for i, node in enumerate(subs) if isinstance(node, Lfp)}
 
     var_map: dict = {}
-    todo: list = []  # (node, env, x) whose defining clauses are not written yet
+    todo: list = []  # (id, env, x) whose defining clauses are not written yet
     clauses: list = []
 
-    def var_of(node, env) -> int:
+    def var_of(i: int, env) -> int:
+        node = subs[i]
         if isinstance(node, FpAtom):
-            vals = tuple(term(t, env) for t in node.args)
-            extra = tuple(term(v, env) for v in binder_extra[node.fp])
-            key = ("fp", node.fp, vals, extra)
+            key = (node.fp, tuple(env[t] for t in node.args),
+                   tuple(env[v] for v in binders[node.fp][2]))
         else:
-            # nodes hash structurally, so shared subformulas with equal
-            # instantiations collapse onto one propositional variable
-            fv = tuple(sorted(free_vars(node)))
-            key = (node, tuple(term(v, env) for v in fv))
+            key = (i, tuple(env[v] for v in fvs[i]))
         x = var_map.get(key)
         if x is None:
             x = var_map[key] = len(var_map) + 1
-            todo.append((node, env, x))
+            todo.append((i, env, x))
         return x
 
     # a worklist, not recursion: LFP stages as deep as the universe is
     # large would otherwise exceed the interpreter's recursion limit
-    top = var_of(phi.root, {})
+    top = var_of(len(subs) - 1, dict(phi.params))
     while todo:
-        node, env, x = todo.pop()
+        i, env, x = todo.pop()
+        node = subs[i]
         if isinstance(node, Atom):
-            holds = a.holds(node.rel, tuple(term(t, env) for t in node.args)) != node.negated
+            holds = a.holds(node.rel, tuple(env[t] for t in node.args)) != node.negated
             clauses.append([x] if holds else [-x])
         elif isinstance(node, Eq):
-            holds = (term(node.left, env) == term(node.right, env)) != node.negated
+            holds = (env[node.left] == env[node.right]) != node.negated
             clauses.append([x] if holds else [-x])
         elif isinstance(node, Or):
-            clauses.append([-var_of(node.left, env), x])
-            clauses.append([-var_of(node.right, env), x])
+            left, right = kids[i]
+            clauses.append([-var_of(left, env), x])
+            clauses.append([-var_of(right, env), x])
         elif isinstance(node, And):
-            clauses.append([-var_of(node.left, env), -var_of(node.right, env), x])
+            left, right = kids[i]
+            clauses.append([-var_of(left, env), -var_of(right, env), x])
         elif isinstance(node, Exists):
+            (body,) = kids[i]
             for e in universe:
-                clauses.append([-var_of(node.body, {**env, node.var: e}), x])
+                clauses.append([-var_of(body, {**env, node.var: e}), x])
         elif isinstance(node, Forall):
-            clauses.append([-var_of(node.body, {**env, node.var: e}) for e in universe] + [x])
-        elif isinstance(node, Lfp):
-            vals = tuple(term(t, env) for t in node.args)
-            inner_env = {**env, **dict(zip(node.vars, vals))}
-            clauses.append([-var_of(node.body, inner_env), x])
-        elif isinstance(node, FpAtom):
-            binder = binders[node.fp]
-            vals = tuple(term(t, env) for t in node.args)
-            inner_env = {**env, **dict(zip(binder.vars, vals))}
-            clauses.append([-var_of(binder.body, inner_env), x])
-        else:
-            raise UsageError(f"unknown node {node!r}")
+            (body,) = kids[i]
+            clauses.append([-var_of(body, {**env, node.var: e}) for e in universe] + [x])
+        else:  # an lfp node or a fixpoint atom: its binder's body at its arguments
+            fp_vars, body, _ = binders[node.fp]
+            vals = tuple(env[t] for t in node.args)
+            clauses.append([-var_of(body, {**env, **dict(zip(fp_vars, vals))}), x])
     clauses.append([-top])
-    num_vars = len(var_map)
-    cnf = CnfFormula(num_vars, clauses)
-    readable = {f"{key}": v for key, v in var_map.items()}
-    return HornEncoding(cnf, readable)
+    return HornEncoding(CnfFormula(len(var_map), clauses), var_map)

@@ -359,7 +359,8 @@ class Basis:
     def contains(self, vec) -> bool:
         if isinstance(vec, Polynomial):
             vec = vec.terms
-        return not self._reduce(self._normalize(dict(vec)))
+        # at _TAIL_DEPTH rows are used as stored: a query replaces none of them
+        return not self._reduce(self._normalize(dict(vec)), depth=_TAIL_DEPTH)
 
     def insert(self, vec) -> bool:
         """Reduce vec against the basis; absorb it if independent.
@@ -393,7 +394,7 @@ class Basis:
             return True
         if m not in self.vectors:
             return False  # its own lead would have to carry the reduction
-        return not self._reduce({m: 1})
+        return not self._reduce({m: 1}, depth=_TAIL_DEPTH)  # read-only, as in contains
 
 
 class SaturationResult(NamedTuple):
@@ -538,8 +539,9 @@ def _monpc_rounds(basis: Basis, stop_early: bool) -> None:
     span is stable, or until a refutation appears if stop_early is set."""
     k, num_vars = basis.k, basis.num_vars
     while True:
+        # _reduce, unlike the read-only span_monomial, tail-reduces the rows the closure uses
         fresh = sorted((m for m in basis.vectors
-                        if len(m) < k and m not in basis.lifted and basis.span_monomial(m)),
+                        if len(m) < k and m not in basis.lifted and not basis._reduce({m: 1})),
                        key=mono_key)
         if not fresh:
             return

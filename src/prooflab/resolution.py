@@ -52,9 +52,8 @@ def horn_refute(f: CnfFormula) -> HornResult:
     derivable; the formula is refuted iff some all-negative clause has all
     its variables in D (the empty clause counts).
     """
-    clauses = sorted(f.clauses, key=lambda c: sorted(c))
     pos_of = []
-    for c in clauses:
+    for c in f.clauses:
         pos = [lit for lit in c if lit > 0]
         if len(pos) > 1:
             raise UsageError(f"non-Horn clause {sorted(c)}: more than one positive literal")
@@ -62,7 +61,7 @@ def horn_refute(f: CnfFormula) -> HornResult:
 
     neg_index: dict[int, list[int]] = {}
     counts = []
-    for i, c in enumerate(clauses):
+    for i, c in enumerate(f.clauses):
         negs = {-lit for lit in c if lit < 0}
         counts.append(len(negs))
         for v in negs:
@@ -81,7 +80,7 @@ def horn_refute(f: CnfFormula) -> HornResult:
             if counts[j] == 0:
                 queue.append(j)
 
-    refuted = any(pos_of[i] is None and counts[i] == 0 for i in range(len(clauses)))
+    refuted = any(p is None and n == 0 for p, n in zip(pos_of, counts))
     return HornResult(refuted, frozenset(derived))
 
 

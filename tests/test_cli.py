@@ -179,6 +179,19 @@ MALFORMED = [
                         "--k", "0"]),
     ("exp-workers-negative", {}, ["experiment", "csp-sweep", "--cycle-min", "3",
                                   "--cycle-max", "3", "--workers", "-1"]),
+] + [
+    # a term is a name, and = takes two terms, negated or not
+    (f"lfp-{action}-{name}",
+     {"s.json": json.dumps({"n": 2, "relations": {"E": {"arity": 2, "tuples": [[0, 1]]}}}),
+      "phi.lfp": text},
+     ["lfp", action, "--structure", "s.json", "--formula", "phi.lfp", "--param", "y=0"])
+    for name, text in [("not-eq-one-term", "(not (= x))"),
+                       ("not-eq-three-terms", "(exists x (not (= x x y)))"),
+                       ("eq-list-term", "(exists x (= (E x x) x))"),
+                       ("atom-list-term", "(exists x (E (x) x))"),
+                       ("lfp-list-var", "(lfp R ((x)) (R x) y)"),
+                       ("list-head", "(exists x ((E) x x))")]
+    for action in ("eval", "encode")
 ]
 
 

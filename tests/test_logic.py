@@ -44,11 +44,34 @@ def test_parser_rejects_non_poslfp():
         parse_formula("(not (and (P x) (P y)))")
     with pytest.raises(UsageError):
         parse_formula("(lfp R (x) (lfp R (y) (R y) y) x)")
+    with pytest.raises(UsageError):
+        parse_formula("(not (not (P x)))")
 
 
 def test_parser_arity_checks():
     with pytest.raises(UsageError):
         parse_formula("(lfp R (x y) (R x) x)")
+
+
+def test_parser_rejects_a_fixpoint_name_bound_twice_side_by_side():
+    # the compiler maps each fixpoint name to one binder, so with two
+    # binders named R it refuted this false sentence
+    text = "(and (lfp R (x) (or (P x) (R x)) s) (lfp R (x) (or (= x x) (R x)) s))"
+    with pytest.raises(UsageError):
+        parse_formula(text, {"s": 1})
+    # an equal binder repeated is one binder
+    a = RelStructure(2, {"P": (1, frozenset({(0,)}))})
+    phi = parse_formula("(or (lfp R (x) (P x) s) (lfp R (x) (P x) s))", {"s": 1})
+    assert not eval_poslfp(a, phi) and not horn_refute(horn_encode(a, phi).cnf).refuted
+
+
+@pytest.mark.parametrize("text", ["(not (= x))", "(exists x (not (= x x y)))",
+                                  "(exists x (= (E x x) x))", "(exists x (E (x) x))",
+                                  "(lfp R ((x)) (R x) y)", "(lfp R (x) (R (x)) x)",
+                                  "(exists x ((P) x))"])
+def test_parser_rejects_malformed_terms(text):
+    with pytest.raises(UsageError):
+        parse_formula(text)
 
 
 def test_efp0_detection():
@@ -118,6 +141,14 @@ def test_encoding_size_linear_in_instantiations():
     phi = parse_formula("(exists x (exists y (and (E x y) (P y))))")
     enc = horn_encode(a, phi)
     assert len(enc.cnf.clauses) <= a.universe_size * len(enc.var_map) + 1
+
+
+def test_equal_subformulas_share_a_variable():
+    # or, exists, and (P x) at 0 and at 1: one variable per distinct
+    # subformula and instantiation, not per occurrence (which makes 7)
+    a = RelStructure(2, {"P": (1, frozenset({(0,)}))})
+    enc = horn_encode(a, parse_formula("(or (exists x (P x)) (exists x (P x)))"))
+    assert enc.cnf.num_vars == len(enc.var_map) == 4
 
 
 def test_var_map_is_injective():

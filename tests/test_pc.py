@@ -155,6 +155,26 @@ def test_basis_leading_monomials_distinct_and_reduced():
             assert basis.contains(dict(vec))
 
 
+def test_queries_leave_the_basis_unchanged():
+    basis = Basis(Q, 2, 3)
+    basis.insert({(1, 2): 1, (1,): 1})
+    basis.insert({(1,): 1, (): 1})  # now leads the first row's tail monomial
+    before = {lead: dict(row) for lead, row in basis.vectors.items()}
+    assert basis.contains({(1, 2): 1, (): -1})
+    assert not basis.span_monomial((1, 2))
+    assert basis.vectors == before  # the first row's stale tail is not reduced
+    rng = random.Random(31)
+    for field in (Q, Field(3)):
+        for _ in range(10):
+            basis = monpc_saturate(random_system(rng, num_vars=5, field=field), 2,
+                                   full_closure=True).basis
+            before = {lead: dict(row) for lead, row in basis.vectors.items()}
+            for lead, vec in before.items():
+                assert basis.contains(dict(vec))
+                assert basis.span_monomial(lead) == (not _reduce_by_rescan(basis, {lead: 1}))
+            assert basis.vectors == before
+
+
 def _reduce_by_rescan(basis, vec):
     """Reference reduction: rescan vec for its largest hit on every step."""
     f, vectors = basis.field, basis.vectors
