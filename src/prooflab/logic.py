@@ -8,8 +8,8 @@ where `s`, `t` are parameter names bound to universe elements by a map
 supplied at parse time.  Negation is allowed on input atoms and equalities
 only (the posLFP discipline), every fixpoint name is bound once, and an lfp
 node may list application terms after its body (defaulting to its own bound
-variables).  N-ary and/or fold to binary nodes, which keeps the compiled
-clauses at width 3 for universal-free formulas.
+variables).  N-ary and/or fold to balanced trees of binary nodes, which
+keeps the compiled clauses at width 3 for universal-free formulas.
 """
 
 from __future__ import annotations
@@ -141,10 +141,13 @@ def _read(tokens: list, pos: int):
 
 
 def _fold(cls, parts):
-    node = parts[0]
-    for nxt in parts[1:]:
-        node = cls(node, nxt)
-    return node
+    """The parts joined by the binary cls as a balanced tree, so that the
+    tree walkers recurse to a depth logarithmic in the number of parts; two
+    or three parts give the left-deep chain."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = (len(parts) + 1) // 2
+    return cls(_fold(cls, parts[:mid]), _fold(cls, parts[mid:]))
 
 
 def _terms(parts) -> tuple:

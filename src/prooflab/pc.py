@@ -438,24 +438,24 @@ def _degree(vec: dict):
 
 
 def _lift_axioms(basis: Basis, axioms: list, stop_early: bool) -> bool:
-    """Insert MultLin(m.p) for every axiom p and every lift monomial m that is
-    reachable one variable at a time without exceeding the basis degree k.
-    Returns True if a refutation appeared and stop_early was set."""
+    """Bring into the span MultLin(m.p) for every axiom p and every lift
+    monomial m that is reachable one variable at a time without exceeding
+    the basis degree k.  Returns True if a refutation appeared and
+    stop_early was set."""
     f, k, num_vars = basis.field, basis.k, basis.num_vars
-    free = None  # lift monomials shared by the axioms of degree <= 1
-    for p in axioms:
-        # scaling by a nonzero constant keeps the span; over Q the lifts of
-        # the integer row then need integer additions only.  The degree
-        # bound applies to the whole lift, so quotient terms are dropped
-        # only from what is inserted.
-        root = basis._scale(dict(p.terms))
-        if basis._nbr and all(map(basis.in_quotient, root)):
-            continue  # every lift of it lies in the quotient too
+    # scaling by a nonzero constant keeps the span; over Q the lifts of the
+    # integer row then need integer additions only.  The degree bound
+    # applies to the whole lift, so quotient terms are dropped only from
+    # what is inserted.  An axiom whose terms all lie in the quotient has
+    # every lift there too.
+    roots = [basis._scale(dict(p.terms)) for p in axioms]
+    if basis._nbr:
+        roots = [root for root in roots if not all(map(basis.in_quotient, root))]
+    linear = [root for root in roots if _degree(root) <= 1]
+    if linear and _lift_linear(basis, linear, stop_early):
+        return True
+    for root in roots:
         if _degree(root) <= 1:
-            if free is None:
-                free = basis.free_monomials(k - 1)
-            if _lift_linear(basis, root, free, stop_early):
-                return True
             continue
         basis.insert(dict(root))
         if stop_early and basis.refuted:
@@ -490,41 +490,72 @@ def _lift_axioms(basis: Basis, axioms: list, stop_early: bool) -> bool:
     return False
 
 
-def _lift_linear(basis: Basis, root: dict, free: list, stop_early: bool) -> bool:
-    """_lift_axioms for one axiom of degree <= 1, without the search.
+def _lift_linear(basis: Basis, roots: list, stop_early: bool) -> bool:
+    """_lift_axioms for the axioms of degree <= 1, without the search and
+    without the lifts that other lifts already span.
 
     For such an axiom p every m of degree < k is a lift monomial, and
     MultLin(m.p) has degree <= k; a lift by m of degree k stays within the
     bound only if m covers the variables of p, and it is then sum(p) * m.
-    Lift monomials in the quotient are skipped, as in the search; the
-    lifts by m of degree < k go in in graded order of m, as the search
-    visits them."""
+    Lift monomials in the quotient are skipped: their lifts lie in it.
+
+    The lifts by m of degree < k are linear in p, so they come from an
+    echelon form q_1, ..., q_r of the axioms, taken in increasing order of
+    their leads L_1 < ... < L_r, and q_i is lifted only by the m that
+    contain no L_j with j < i.  The others add nothing (Faugere's F5
+    criterion).  If m = L_j.m' with j < i, write q_j, made monic, as
+    L_j + t_j, where t_j has only variables below L_j and the constant;
+    then, in the multilinear ring,
+
+        m.q_i = (m'.q_i).q_j - (m'.t_j).q_i,
+
+    and expanding m'.q_i and m'.t_j term by term makes the right side a sum
+    of lifts of q_j (an earlier row) by monomials of degree <= deg m and of
+    lifts of q_i by monomials smaller than m (x.m' with x < L_j, or m'
+    itself), all within degree k.  By induction on (i, m) every skipped lift lies in the
+    span of the kept ones.  The lifts by m of degree k are not linear in p:
+    an echelon row covers a different support, and sum(q).m for a
+    combination q of axioms need not be derivable at degree k.  They come
+    from the axioms themselves."""
     k, nbr, wide = basis.k, basis._nbr, basis._wide
     p = basis.field.p
-    c0 = root.get((), 0)
-    coefs = [(t[0], c) for t, c in root.items() if t]
-    for m, bits in free:
-        vec = {}
-        own = c0
-        for x, c in coefs:
-            if (bits >> x) & 1:
-                own += c  # MultLin(x.m) = m
+    echelon = Basis(basis.field, 1)
+    for root in roots:
+        echelon._absorb(basis._normalize(dict(root)))
+    rows = sorted(echelon.vectors.items(), key=lambda lr: mono_key(lr[0]))
+    free = basis.free_monomials(k - 1)
+    earlier = 0  # bits of the leads of the rows already lifted
+    for lead, row in rows:
+        c0 = row.get((), 0)
+        coefs = [(t[0], c) for t, c in row.items() if t]
+        for m, bits in free:
+            if bits & earlier:
                 continue
-            t = mono_extend(m, x)
-            if nbr and (nbr[x] & bits or wide and basis.in_quotient(t)):
-                continue
-            vec[t] = c
+            vec = {}
+            own = c0
+            for x, c in coefs:
+                if (bits >> x) & 1:
+                    own += c  # MultLin(x.m) = m
+                    continue
+                t = mono_extend(m, x)
+                if nbr and (nbr[x] & bits or wide and basis.in_quotient(t)):
+                    continue
+                vec[t] = c
+            if p is not None:
+                own %= p
+            if own:
+                vec[m] = own
+            if vec and basis._absorb(vec) and stop_early and basis.refuted:
+                return True
+        if lead:
+            earlier |= 1 << lead[0]
+    for root in roots:
+        total = sum(root.values())
         if p is not None:
-            own %= p
-        if own:
-            vec[m] = own
-        if vec and basis._absorb(vec) and stop_early and basis.refuted:
-            return True
-    total = sum(root.values())
-    if p is not None:
-        total %= p
-    support = [t[0] for t in root if t]
-    if total and len(support) <= k:
+            total %= p
+        support = [t[0] for t in root if t]
+        if not total or len(support) > k:
+            continue
         others = [x for x in range(1, basis.num_vars + 1) if x not in support]
         for extra in combinations(others, k - len(support)):
             m = tuple(sorted(support + list(extra)))
@@ -537,21 +568,24 @@ def _lift_linear(basis: Basis, root: dict, free: list, stop_early: bool) -> bool
 def _monpc_rounds(basis: Basis, stop_early: bool) -> None:
     """Lift every in-span monomial of degree < k by every variable until the
     span is stable, or until a refutation appears if stop_early is set."""
-    k, num_vars = basis.k, basis.num_vars
+    k, num_vars, lifted = basis.k, basis.num_vars, basis.lifted
     while True:
         # _reduce, unlike the read-only span_monomial, tail-reduces the rows the closure uses
         fresh = sorted((m for m in basis.vectors
-                        if len(m) < k and m not in basis.lifted and not basis._reduce({m: 1})),
+                        if len(m) < k and m not in lifted and not basis._reduce({m: 1})),
                        key=mono_key)
         if not fresh:
             return
         for m in fresh:
-            basis.lifted.add(m)
+            lifted.add(m)
             for x in range(1, num_vars + 1):
                 if x in m:
                     continue  # MultLin(X.m) = m, already in the span
                 xm = mono_extend(m, x)
                 if basis.in_quotient(xm):
+                    continue
+                # xm = y.m' for an m' lifted before: that product went in then
+                if any(y != x and xm[:i] + xm[i + 1:] in lifted for i, y in enumerate(xm)):
                     continue
                 if basis._absorb({xm: 1}) and stop_early and basis.refuted:
                     return

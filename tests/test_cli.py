@@ -127,6 +127,18 @@ def test_lfp_eval_and_encode(tmp_path, capsys):
     assert out.startswith("p cnf")
 
 
+def test_lfp_eval_of_a_wide_conjunction(tmp_path):
+    # 3,000 parts once overflowed the recursion limit: exit 1 and a traceback
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"n": 2, "relations": {"P": {"arity": 1, "tuples": [[1]]}}}))
+    (tmp_path / "phi.lfp").write_text("(exists x (and " + " ".join(["(P x)"] * 3000) + "))")
+    for action, code in (("eval", 10), ("encode", 0)):
+        proc = run_module(tmp_path, ["lfp", action, "--structure", "s.json",
+                                     "--formula", "phi.lfp"], timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli_main(["res", "horn", str(tmp_path / "missing.cnf")]) == 2
     assert cli_main(["nonsense"]) == 2

@@ -169,3 +169,15 @@ def test_structure_validation():
         RelStructure(2, {"E": (2, frozenset({(0, 5)}))})
     with pytest.raises(UsageError):
         RelStructure(2, {"E": (2, frozenset({(0,)}))})
+
+
+def test_wide_conjunction_evaluates_and_encodes():
+    # an n-ary and of 3,000 parts folds to a balanced tree: a left-deep
+    # chain made the tree walkers recurse once per part
+    a = RelStructure(2, {"P": (1, frozenset({(1,)}))})
+    for parts, holds in (("(P x)", True), ("(P x) (= x x)", True), ("(P x) (not (P x))", False)):
+        phi = parse_formula("(exists x (and " + " ".join([parts] * 3000) + "))")
+        assert eval_poslfp(a, phi) is holds
+        assert horn_refute(horn_encode(a, phi).cnf).refuted is holds
+    wide_or = parse_formula("(exists x (or " + " ".join(["(P x) (= x s)"] * 1500) + "))", {"s": 0})
+    assert eval_poslfp(a, wide_or)

@@ -466,3 +466,99 @@ def test_pc_k4_cfi_pair_at_degree_two():
         assert time.monotonic() - start < 60
         assert not result.refuted
         assert result.basis.dimension == 6319
+
+
+def _exactly_one_blocks(rng, field):
+    """An isomorphism-shaped system: per colour block of size s, a grid of
+    s x s variables whose row and column sums are 1 (so one axiom per block
+    is dependent), as encode_iso_poly_colored writes them, plus random pair
+    conflict monomials; some systems also get a constant axiom, a random
+    linear axiom, a single-variable monomial or a nonlinear axiom."""
+    sizes = rng.choice([[2, 2], [3], [1, 2, 2], [1, 1, 2], [2, 1]])
+    axioms, num_vars = [], 0
+    for s in sizes:
+        grid = [[num_vars + s * i + j + 1 for j in range(s)] for i in range(s)]
+        num_vars += s * s
+        for line in grid + [list(col) for col in zip(*grid)]:
+            axioms.append(P([((x,), 1) for x in line] + [((), -1)], field))
+    for _ in range(rng.randint(0, 5)):
+        axioms.append(P([(tuple(rng.sample(range(1, num_vars + 1), 2)), 1)], field))
+    mix = rng.choice(["none", "none", "constant", "linear", "unit", "nonlinear"])
+    if mix == "constant":
+        axioms.append(P([((), rng.choice([1, 2]))], field))
+    elif mix == "linear":
+        axioms.append(P([((x,), rng.choice([-1, 1, 2])) for x in rng.sample(range(1, num_vars + 1), 3)]
+                        + [((), rng.choice([0, 1]))], field))
+    elif mix == "unit":
+        axioms.append(P([((rng.randint(1, num_vars),), 1)], field))
+    elif mix == "nonlinear":
+        x, y, z = rng.sample(range(1, num_vars + 1), 3)
+        axioms.append(P([((x, y), 1), ((z,), rng.choice([-1, 1])), ((), rng.choice([0, -1]))], field))
+    rng.shuffle(axioms)
+    return PolySystem(field, num_vars, axioms)
+
+
+def test_exactly_one_blocks_match_reference_closures():
+    # the engines lift only an echelon form of the linear axioms, and each
+    # echelon row only by monomials free of the earlier rows' leads; the
+    # reference closures lift every axiom by every monomial
+    rng = random.Random(30)
+    for field in (Q, Field(3)):
+        for k in (2, 3):
+            for _ in range(8):
+                system = _exactly_one_blocks(rng, field)
+                got = monpc_saturate(system, k, full_closure=True)
+                _assert_same_span(got, _reference_monpc(system, k))
+                assert monpc_saturate(system, k).refuted == got.refuted
+                got = pc_saturate(system, k, full_closure=True)
+                _assert_same_span(got, _reference_pc(system, k))
+
+
+def test_linear_systems_match_reference_closure():
+    # the lifts by monomials of degree k come from the axioms, not from
+    # their echelon form: 2 X3 + 1 lifted by X3 gives 3 X3 and refutes at
+    # k = 1, while a combination's top-degree lift may not be derivable
+    rng = random.Random(33)
+    for field in (Q, Field(3), Field(2)):
+        for _ in range(40):
+            num_vars = rng.randint(2, 4)
+            axioms = []
+            for _ in range(rng.randint(2, 3)):
+                terms = [((x,), rng.choice([-2, -1, 1, 2]))
+                         for x in rng.sample(range(1, num_vars + 1), rng.randint(1, num_vars))]
+                axioms.append(P(terms + [((), rng.choice([-1, 0, 1]))], field))
+            system = PolySystem(field, num_vars, axioms)
+            for k in (1, 2):
+                _assert_same_span(monpc_saturate(system, k, full_closure=True),
+                                  _reference_monpc(system, k))
+
+
+def test_monpc_extend_with_linear_extras_matches_cold_start():
+    rng = random.Random(32)
+    for field in (Q, Field(3)):
+        for _ in range(8):
+            system = _exactly_one_blocks(rng, field)
+            linear = [p for p in system.axioms if p.degree <= 1]
+            extra = rng.sample(linear, rng.randint(1, len(linear)))
+            base = [p for p in system.axioms if all(p is not q for q in extra)]
+            warm = monpc_extend(monpc_saturate(PolySystem(field, system.num_vars, base), 3,
+                                               full_closure=True).basis,
+                                extra, full_closure=True)
+            cold = monpc_saturate(system, 3, full_closure=True)
+            assert warm.refuted == cold.refuted
+            assert warm.basis.dimension == cold.basis.dimension
+            for vec in cold.basis.vectors.values():
+                assert warm.basis.contains(dict(vec))
+
+
+def test_monpc_k4_cfi_pair_at_degree_three():
+    # the lead set of a span is fixed, so skipping the lifts that other
+    # lifts span keeps the row count; these are the counts of the closure
+    # that lifted every axiom by every monomial
+    a, b = twisted_pair(K4, 2)
+    ga, gb = to_graph(a), to_graph(b)
+    for field in (Q, Field(3)):
+        result = monpc_saturate(encode_iso_poly_colored(ga, gb, field), 3)
+        assert not result.refuted
+        assert len(result.basis.vectors) == 165848
+        assert result.basis.dimension == 233560
