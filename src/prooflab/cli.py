@@ -205,11 +205,11 @@ def cmd_csp(args) -> int:
     a = logic.structure_from_json(_read_json(args.instance))
     t = logic.structure_from_json(_read_json(args.template))
     if args.action == "check":
-        verdict = encoders.k_consistency(a, t, args.k, all_subsets=args.all_subsets)
+        verdict = encoders.k_consistency(a, t, args.k)
         _emit({"consistent": verdict, "k": args.k})
         return _verdict_exit(not verdict)
     if args.action == "encode":
-        f = encoders.encode_kconsistency_cnf(a, t, args.k, all_subsets=args.all_subsets)
+        f = encoders.encode_kconsistency_cnf(a, t, args.k)
         sys.stdout.write(resolution.write_dimacs(f))
         return EXIT_OK
     raise UsageError(f"unknown csp action {args.action!r}")
@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--template", required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--all-subsets", action="store_true")
     p.set_defaults(func=cmd_csp)
 
     p = sub.add_parser("lfp", help="posLFP evaluation and Horn compilation")

@@ -4,7 +4,7 @@ CSP k-consistency (direct algorithm and its dual-Horn CNF).
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 
 
 from .algebra import Field, RATIONALS
@@ -179,29 +179,26 @@ def _partial_homs(a: RelStructure, t: RelStructure, k: int) -> list:
     return sorted(set(out), key=lambda p: (len(p), p))
 
 
-def _domains(universe: list, dom: tuple, k: int, all_subsets: bool):
-    """The admissible domains strictly above dom, of size <= k."""
-    if all_subsets:
-        rest = [e for e in universe if e not in dom]
-        for extra in range(1, k - len(dom) + 1):
-            for more in combinations(rest, extra):
-                yield tuple(sorted(set(dom) | set(more)))
-    elif len(dom) < k:
+def _domains(universe: list, dom: tuple, k: int):
+    """The admissible domains above dom: dom plus one new element, while
+    that stays within size k."""
+    if len(dom) < k:
         for e in universe:
             if e not in dom:
                 yield tuple(sorted(set(dom) | {e}))
 
 
-def _kconsistency_rules(a: RelStructure, t: RelStructure, k: int, all_subsets: bool) -> list:
+def _kconsistency_rules(a: RelStructure, t: RelStructure, k: int) -> list:
     """The k-consistency rule table: (p, extensions, restrictions) for every
     partial homomorphism p with domain size <= k.
 
     extensions holds one set per admissible domain S above dom(p): the maps
     on S that extend p.  restrictions holds p minus each element.  The
     k-consistency fixed point keeps p while every extension set keeps a map
-    and every restriction is kept.  By default the admissible domains add
-    one new element to dom(p) (same fixed point as ranging over all
-    supersets of size <= k, available via all_subsets)."""
+    and every restriction is kept.  The admissible domains add one new
+    element to dom(p): ranging over all supersets of size <= k gives the
+    same fixed point, as one-element extensions reach each of them one step
+    at a time."""
     if k < 1:
         raise UsageError("k must be >= 1")
     homs = _partial_homs(a, t, k)
@@ -214,20 +211,19 @@ def _kconsistency_rules(a: RelStructure, t: RelStructure, k: int, all_subsets: b
         dom = tuple(x for (x, _) in p)
         items = set(p)
         extensions = [[q for q in by_domain.get(S, ()) if items.issubset(q)]
-                      for S in _domains(universe, dom, k, all_subsets)]
+                      for S in _domains(universe, dom, k)]
         restrictions = [p[:i] + p[i + 1:] for i in range(len(p))]
         rules.append((p, extensions, restrictions))
     return rules
 
 
-def k_consistency(a: RelStructure, t: RelStructure, k: int,
-                  all_subsets: bool = False) -> bool:
+def k_consistency(a: RelStructure, t: RelStructure, k: int) -> bool:
     """k-consistency test: False certifies that no homomorphism a -> t
     exists; True is inconclusive in general.
 
     Computes the greatest fixed point of the rule table directly, by
     removing maps that break a rule until none does."""
-    rules = _kconsistency_rules(a, t, k, all_subsets)
+    rules = _kconsistency_rules(a, t, k)
     alive = {p for (p, _, _) in rules}
     changed = True
     while changed:
@@ -240,15 +236,14 @@ def k_consistency(a: RelStructure, t: RelStructure, k: int,
     return bool(alive)
 
 
-def encode_kconsistency_cnf(a: RelStructure, t: RelStructure, k: int,
-                            all_subsets: bool = False) -> CnfFormula:
+def encode_kconsistency_cnf(a: RelStructure, t: RelStructure, k: int) -> CnfFormula:
     """Dual-Horn CNF whose refutability matches the k-consistency verdict.
 
     Variables stand for partial homomorphisms; clauses demand an extension
     for every admissible superset domain and the survival of restrictions,
     with the positive unit asserting the empty map.
     """
-    rules = _kconsistency_rules(a, t, k, all_subsets)
+    rules = _kconsistency_rules(a, t, k)
     var = {p: i + 1 for i, (p, _, _) in enumerate(rules)}
     clauses = []
     for p, extensions, restrictions in rules:

@@ -4,7 +4,9 @@ Polynomials are multilinear throughout: the booleanity axioms X^2 - X are
 implicit, so a monomial is just a strictly increasing tuple of variable ids
 and multiplication of monomials is set union.  The saturation engines
 maintain an echelon basis of the derivable span, keyed by leading monomial
-under graded lexicographic order.
+under graded lexicographic order.  Both take the single-term axioms of one
+or two variables as a monomial quotient of that basis, and lift every
+other axiom into its rows.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ class Polynomial:
             terms = terms.items()
         acc: dict = {}
         for mono, coef in terms:
+            if any(type(v) is not int or v < 1 for v in mono):
+                raise UsageError(f"variable ids must be ints >= 1, got {list(mono)}")
             mono = tuple(sorted(set(mono)))
-            if any(v < 1 for v in mono):
-                raise UsageError(f"variable ids must be >= 1, got {mono}")
             coef = field.coerce(coef)
             s = field.add(acc.get(mono, field.zero()), coef)
             if s == 0:
@@ -126,9 +128,10 @@ class PolySystem:
     field: Field
     num_vars: int
     axioms: list
-    booleanity: bool = True
 
     def __post_init__(self):
+        if type(self.num_vars) is not int or self.num_vars < 0:
+            raise UsageError(f"num_vars must be an int >= 0, got {self.num_vars!r}")
         for p in self.axioms:
             if not isinstance(p, Polynomial):
                 raise UsageError("axioms must be Polynomial instances")
@@ -162,11 +165,12 @@ class Basis:
     elimination after a monomial of its tail has come to lead a row.
 
     A basis may carry a monomial quotient: a set of generator monomials
-    whose every multiple of degree <= k is known to lie in the span (the
-    lifts of single-term axioms).  Those multiples form a coordinate
-    subspace M, and the span is M plus the span of the rows, which never
-    mention a monomial of M: terms in M are dropped before elimination.
-    ``vectors`` holds only the rows; ``dimension`` counts M as well.
+    of one or two variables whose every multiple of degree <= k is known
+    to lie in the span (the lifts of single-term axioms).  Those multiples
+    form a coordinate subspace M, and the span is M plus the span of the
+    rows, which never mention a monomial of M: terms in M are dropped
+    before elimination.  ``vectors`` holds only the rows; ``dimension``
+    counts M as well.  The quotient is one bit table, ``_nbr``.
     """
 
     def __init__(self, field: Field, k: int, num_vars: int = 0, quotient: Iterable = ()):
@@ -177,23 +181,23 @@ class Basis:
         self.lifted: set = set()  # leads whose variable lifts were emitted
         gens = {tuple(sorted(set(m))) for m in quotient}
         gens.discard(())  # a constant generator would be a refutation, not a quotient
+        if any(len(g) > 2 for g in gens):
+            raise UsageError("quotient generators have one or two variables")
         # nbr[v] has bit u set when {u, v} is a generator, and bit 0 when {v}
         # is, so that for m outside the quotient, m * v is inside it iff
-        # nbr[v] & (1 | bits of m); generators of three or more variables
-        # are kept aside
+        # nbr[v] & (1 | bits of m)
         self._nbr = [0] * (num_vars + 1) if gens else []
-        self._wide = tuple(sorted(g for g in gens if len(g) > 2))
         for g in gens:
             if len(g) == 1:
                 self._nbr[g[0]] |= 1
-            elif len(g) == 2:
+            else:
                 self._nbr[g[0]] |= 1 << g[1]
                 self._nbr[g[1]] |= 1 << g[0]
         self._quotient_size = None
 
     def copy(self) -> "Basis":
         c = Basis(self.field, self.k, self.num_vars)
-        c._nbr, c._wide = self._nbr, self._wide
+        c._nbr = self._nbr
         c._quotient_size = self._quotient_size
         c.vectors = {lead: dict(v) for lead, v in self.vectors.items()}
         c.lifted = set(self.lifted)
@@ -209,9 +213,6 @@ class Basis:
             if nbr[v] & seen:
                 return True
             seen |= 1 << v
-        if self._wide:
-            s = set(m)
-            return any(s.issuperset(g) for g in self._wide)
         return False
 
     def _walk(self, d: int):
@@ -219,7 +220,7 @@ class Basis:
         the quotient, by a walk over increasing variable sets.  bits is 1 |
         sum of 1 << v over v in m; cands has bit v set for the variables v
         above max(m) that form no pair or single generator with m."""
-        n, wide = self.num_vars, self._wide
+        n = self.num_vars
         nbr = self._nbr or [0] * (n + 1)
         every = (1 << (n + 1)) - 2  # bits 1..n
         # partners[v]: variables above v that form no pair generator with v
@@ -238,10 +239,7 @@ class Basis:
                 low = rest & -rest
                 rest ^= low
                 v = low.bit_length() - 1
-                m2 = m + (v,)
-                if wide and any(set(m2).issuperset(g) for g in wide):
-                    continue
-                stack.append((m2, bits | low, cands & partners[v]))
+                stack.append((m + (v,), bits | low, cands & partners[v]))
 
     def free_monomials(self, d: int) -> list:
         """The monomials of degree <= d outside the quotient, as (m, bits)
@@ -255,12 +253,9 @@ class Basis:
             k, size = self.k, 0
             if self._nbr:
                 size = sum(comb(self.num_vars, d) for d in range(k + 1))
-                if self._wide:
-                    size -= sum(1 for _ in self._walk(k))
-                else:
-                    # the degree-k leaves below m are m + (v,) for v in cands
-                    for m, _, cands in self._walk(k - 1):
-                        size -= 1 + (cands.bit_count() if len(m) == k - 1 else 0)
+                # the degree-k leaves below m are m + (v,) for v in cands
+                for m, _, cands in self._walk(k - 1):
+                    size -= 1 + (cands.bit_count() if len(m) == k - 1 else 0)
             self._quotient_size = size
         return self._quotient_size
 
@@ -405,8 +400,6 @@ class SaturationResult(NamedTuple):
 def _check_system(system: PolySystem, k: int):
     if k < 1:
         raise UsageError("degree bound k must be >= 1")
-    if not system.booleanity:
-        raise UsageError("saturation engines assume implicit booleanity axioms")
     for p in system.axioms:
         if p.degree > k:
             raise DegreeOverflowError(
@@ -517,7 +510,7 @@ def _lift_linear(basis: Basis, roots: list, stop_early: bool) -> bool:
     an echelon row covers a different support, and sum(q).m for a
     combination q of axioms need not be derivable at degree k.  They come
     from the axioms themselves."""
-    k, nbr, wide = basis.k, basis._nbr, basis._wide
+    k, nbr = basis.k, basis._nbr
     p = basis.field.p
     echelon = Basis(basis.field, 1)
     for root in roots:
@@ -537,10 +530,8 @@ def _lift_linear(basis: Basis, roots: list, stop_early: bool) -> bool:
                 if (bits >> x) & 1:
                     own += c  # MultLin(x.m) = m
                     continue
-                t = mono_extend(m, x)
-                if nbr and (nbr[x] & bits or wide and basis.in_quotient(t)):
-                    continue
-                vec[t] = c
+                if not (nbr and nbr[x] & bits):
+                    vec[mono_extend(m, x)] = c
             if p is not None:
                 own %= p
             if own:
@@ -594,8 +585,10 @@ def _monpc_rounds(basis: Basis, stop_early: bool) -> None:
 def _pc_rounds(basis: Basis, stop_early: bool) -> None:
     """Lift by every variable each row whose lead has degree < k and that no
     earlier round lifted, until no such row is left, or until a refutation
-    appears if stop_early is set."""
+    appears if stop_early is set.  The quotient terms of each product are
+    dropped before it is absorbed: they lie in the span already."""
     f, k, num_vars = basis.field, basis.k, basis.num_vars
+    in_quotient = basis.in_quotient if basis._nbr else None
     while True:
         fresh = sorted((lead for lead in basis.vectors
                         if len(lead) < k and lead not in basis.lifted), key=mono_key)
@@ -605,14 +598,27 @@ def _pc_rounds(basis: Basis, stop_early: bool) -> None:
             basis.lifted.add(lead)
             row = basis.vectors[lead]
             for x in range(1, num_vars + 1):
-                if basis._absorb(_mul_var(f, row, x)) and stop_early and basis.refuted:
+                vec = _mul_var(f, row, x)
+                if in_quotient:
+                    vec = {m: c for m, c in vec.items() if not in_quotient(m)}
+                if basis._absorb(vec) and stop_early and basis.refuted:
                     return
 
 
-def _close(basis: Basis, axioms: list, rounds, full_closure: bool) -> SaturationResult:
-    """Lift the axioms into the basis, then run the engine's rounds on it."""
+def _close(system: PolySystem, k: int, rounds, full_closure: bool,
+           basis: Optional[Basis] = None) -> SaturationResult:
+    """Check the system, lift its axioms into the basis, then run the
+    engine's rounds on it.  A fresh basis takes as its quotient the
+    single-term axioms of one or two variables (for an isomorphism system,
+    the conflict monomials): in either engine their multiples of degree
+    <= k are all lifts.  Wider single-term axioms are lifted like the rest.
+    """
+    _check_system(system, k)
+    if basis is None:
+        quotient = [m for p in system.axioms if len(p.terms) == 1 for m in p.terms if len(m) <= 2]
+        basis = Basis(system.field, k, system.num_vars, quotient)
     stop = not full_closure
-    if not _lift_axioms(basis, axioms, stop):
+    if not _lift_axioms(basis, system.axioms, stop):
         rounds(basis, stop)
     return SaturationResult(basis.refuted, basis)
 
@@ -626,16 +632,8 @@ def monpc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> Sa
     the span.  By default the loop stops as soon as a refutation appears
     (the span then closes to the whole space, so completing it carries no
     information); pass full_closure=True to saturate regardless.
-
-    The single-term axioms (for an isomorphism system, the conflict
-    monomials) become the basis quotient: their multiples of degree <= k
-    are all lifts, so they are counted, not stored, and dropped from
-    every other vector before elimination.
     """
-    _check_system(system, k)
-    quotient = [m for p in system.axioms if len(p.terms) == 1 for m in p.terms]
-    basis = Basis(system.field, k, system.num_vars, quotient)
-    return _close(basis, system.axioms, _monpc_rounds, full_closure)
+    return _close(system, k, _monpc_rounds, full_closure)
 
 
 def monpc_extend(basis: Basis, extra_axioms: list, full_closure: bool = False) -> SaturationResult:
@@ -643,11 +641,11 @@ def monpc_extend(basis: Basis, extra_axioms: list, full_closure: bool = False) -
 
     basis must be the result of monpc_saturate (or a previous extend) for a
     subset of the axioms over the same variables and degree bound; the
-    given basis is not modified.  Produces the same span as saturating the
-    enlarged system from scratch.
+    given basis is not modified, and its quotient is kept as it is.
+    Produces the same span as saturating the enlarged system from scratch.
     """
-    _check_system(PolySystem(basis.field, basis.num_vars, list(extra_axioms)), basis.k)
-    return _close(basis.copy(), extra_axioms, _monpc_rounds, full_closure)
+    return _close(PolySystem(basis.field, basis.num_vars, list(extra_axioms)), basis.k,
+                  _monpc_rounds, full_closure, basis.copy())
 
 
 def pc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> SaturationResult:
@@ -658,17 +656,14 @@ def pc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> Satur
     lifted, until no such row is left; the same loop serves Q and F_p.
     The basis is echelon under graded lex with distinct leads, so the top
     lead of a combination cannot cancel and the rows led below degree k
-    span {p in span : deg(p) < k} over any field.  Lifting each lead once
-    is enough: a row that tail reduction later replaces differs from the
-    lifted one by rows with smaller leads, which are lifted too.  Refuted
-    iff the constant 1 lies in the span; full_closure is as for
+    span {p in span : deg(p) < k} modulo the quotient.  Lifting each lead
+    once is enough: a row that tail reduction later replaces differs from
+    the lifted one by rows with smaller leads, which are lifted too.
+    Refuted iff the constant 1 lies in the span; full_closure is as for
     monpc_saturate.  Over Q the K4 CFI pair's colour-restricted system
-    closes at k = 2 in about half a second, not refuted, and refutes at
-    k = 3.
+    closes at k = 2 in 0.3 s, not refuted, and refutes at k = 3 in 2-3 s.
     """
-    _check_system(system, k)
-    return _close(Basis(system.field, k, system.num_vars), system.axioms, _pc_rounds,
-                  full_closure)
+    return _close(system, k, _pc_rounds, full_closure)
 
 
 ENGINES = {"monpc": monpc_saturate, "pc": pc_saturate}
@@ -688,9 +683,11 @@ def degree_sweep(system: PolySystem, engine: str = "monpc", k_max: int = 6):
         saturate = ENGINES[engine]
     except KeyError:
         raise UsageError(f"unknown engine {engine!r}; use one of {sorted(ENGINES)}")
+    if k_max < 1:
+        raise UsageError(f"k_max must be >= 1, got {k_max}")
     for k in range(1, k_max + 1):
         usable = [p for p in system.axioms if p.degree <= k]
-        res = saturate(PolySystem(system.field, system.num_vars, usable, system.booleanity), k)
+        res = saturate(PolySystem(system.field, system.num_vars, usable), k)
         refuted, dimension = res.refuted, res.basis.dimension
         del res
         yield k, refuted, dimension
@@ -733,7 +730,6 @@ def system_to_json(system: PolySystem) -> dict:
     return {
         "field": field_to_json(system.field),
         "num_vars": system.num_vars,
-        "booleanity": system.booleanity,
         "polys": polys,
     }
 
@@ -741,11 +737,14 @@ def system_to_json(system: PolySystem) -> dict:
 def system_from_json(obj: dict) -> PolySystem:
     with malformed_input("PolySystem JSON"):
         f = field_from_json(obj["field"])
+        if obj.get("booleanity", True) is not True:
+            raise UsageError("the engines assume the booleanity axioms; "
+                             "\"booleanity\" may only be true")
         axioms = []
         for poly in obj["polys"]:
             terms = [(f.parse_scalar(t["coef"]), tuple(t["mono"])) for t in poly]
             axioms.append(Polynomial(f, [(m, c) for c, m in terms]))
-        return PolySystem(f, int(obj["num_vars"]), axioms, bool(obj.get("booleanity", True)))
+        return PolySystem(f, obj["num_vars"], axioms)
 
 
 def dumps_system(system: PolySystem) -> str:

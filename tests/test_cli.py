@@ -162,6 +162,27 @@ MALFORMED = [
     ("pc-huge-prime", {"sys.json": json.dumps({"field": {"kind": "Fp", "p": 2 ** 89 - 1},
                                                "num_vars": 1, "polys": []})},
      ["pc", "sys.json", "--degree", "2"]),
+    ("pc-no-booleanity", {"sys.json": json.dumps({"field": {"kind": "Q"}, "num_vars": 1,
+                                                  "booleanity": False, "polys": []})},
+     ["pc", "sys.json", "--degree", "2"]),
+] + [
+    # a variable id is an int, bools and floats included
+    (f"pc-mono-{name}", {"sys.json": json.dumps({"field": {"kind": "Q"}, "num_vars": 2,
+                                                 "polys": [[{"coef": "1", "mono": [v]}]]})},
+     ["pc", "sys.json", "--degree", "2"])
+    for name, v in [("float-int", 1.0), ("float", 1.5), ("bool", True)]
+] + [
+    ("pc-num-vars-float", {"sys.json": json.dumps({"field": {"kind": "Q"}, "num_vars": 2.5,
+                                                   "polys": [[{"coef": "1", "mono": [1]}]]})},
+     ["pc", "sys.json", "--degree", "2"]),
+] + [
+    # the sweep starts at k = 1, so it has no degree to try: even the constant 1 is not refuted
+    (f"min-degree-k-max-{name}",
+     {"sys.json": json.dumps({"field": {"kind": "Q"}, "num_vars": 1,
+                              "polys": [[{"coef": "1", "mono": []}]]})},
+     ["min-degree", "sys.json", "--k-max", k_max])
+    for name, k_max in [("zero", "0"), ("negative", "-3")]
+] + [
     ("cfi-bad-load", {}, ["cfi", "gen", "--base", "k4", "--load", "1,x"]),
     ("res-bad-token", {"f.cnf": "p cnf 2 1\n1 x 0\n"}, ["res", "kres", "f.cnf"]),
     ("lfp-not-json", {"s.json": "{", "phi.lfp": "(= x x)"},

@@ -183,13 +183,6 @@ def test_kconsistency_cnf_matches_direct_on_random_csp():
         done += 1
 
 
-def test_kconsistency_all_subsets_variant_same_fixed_point():
-    k2 = clique_structure(2)
-    for n in (3, 4, 5):
-        cyc = cycle_structure(n)
-        assert k_consistency(cyc, k2, 3) == k_consistency(cyc, k2, 3, all_subsets=True)
-
-
 def test_kconsistency_cnf_is_dual_horn():
     cnf = encode_kconsistency_cnf(cycle_structure(4), clique_structure(2), 3)
     for c in cnf.clauses:

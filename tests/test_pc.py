@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -11,7 +12,7 @@ from prooflab.algebra import Field, Matrix, RATIONALS, Vector, compress_image, g
 from prooflab.cfi import K4, to_graph, twisted_pair
 from prooflab.encoders import encode_iso_poly_colored
 from prooflab.errors import DegreeOverflowError, UsageError
-from prooflab.pc import (Basis, Polynomial, PolySystem, loads_system, dumps_system,
+from prooflab.pc import (ENGINES, Basis, Polynomial, PolySystem, loads_system, dumps_system,
                          min_refutation_degree, mono_key, monpc_extend,
                          monpc_saturate, multlin, pc_saturate)
 
@@ -38,8 +39,11 @@ def test_multlin_collapses_booleanity_axiom():
 
 
 def test_polynomial_rejects_bad_ids():
+    for mono in ((0,), (1.0,), (1.5,), (True,), (2, "3")):
+        with pytest.raises(UsageError):
+            P([(mono, 1)])
     with pytest.raises(UsageError):
-        P([((0,), 1)])
+        PolySystem(Q, 2.5, [])
 
 
 def test_monpc_linear_combination_refutation():
@@ -269,15 +273,20 @@ def test_monpc_extend_rejects_bad_axioms():
             monpc_extend(basis, [P([((1,), 1)], Field(3))])
 
 
-def test_booleanity_flag_is_required_by_engines():
-    system = PolySystem(Q, 1, [P([((1,), 2), ((), -1)])], booleanity=False)
-    with pytest.raises(UsageError):
-        monpc_saturate(system, 2)
+def test_json_reader_requires_booleanity():
+    # the engines assume the booleanity axioms, so a system that drops them is refused
+    obj = {"field": {"kind": "Q"}, "num_vars": 1, "polys": [[{"coef": "2", "mono": [1]}]]}
+    assert loads_system(json.dumps(obj)).num_vars == 1
+    assert loads_system(json.dumps({**obj, "booleanity": True})).num_vars == 1
+    for value in (False, 0, "true"):
+        with pytest.raises(UsageError):
+            loads_system(json.dumps({**obj, "booleanity": value}))
+    assert "booleanity" not in dumps_system(loads_system(json.dumps(obj)))
 
 
 def test_json_round_trip():
     F3 = Field(3)
-    system = PolySystem(F3, 3, [P([((1, 3), 2), ((), 1)], F3)], booleanity=True)
+    system = PolySystem(F3, 3, [P([((1, 3), 2), ((), 1)], F3)])
     again = loads_system(dumps_system(system))
     assert again.field == F3
     assert again.num_vars == 3
@@ -405,6 +414,19 @@ def _random_axioms(rng, field, num_vars):
     return axioms
 
 
+def _wide_monomial_systems(field):
+    """Systems with a single-term axiom of three variables, next to one of
+    one variable, one of two, a linear and a nonlinear axiom."""
+    wide = P([((1, 3, 5), 1)], field)
+    linear = P([((1,), 1), ((2,), 1), ((), -1)], field)
+    nonlinear = P([((2, 4), 1), ((3,), -1)], field)
+    return [PolySystem(field, 5, [wide]),
+            PolySystem(field, 5, [wide, linear, nonlinear]),
+            PolySystem(field, 5, [wide, P([((2,), 1)], field), linear, nonlinear]),
+            PolySystem(field, 5, [wide, P([((4, 5), 2)], field), nonlinear,
+                                  P([((3,), 1), ((4,), 1), ((5,), 1), ((), -1)], field)])]
+
+
 def _assert_same_span(got, ref):
     """got is a SaturationResult, ref a reference closure's rows."""
     assert got.refuted == (() in ref)
@@ -432,6 +454,11 @@ def test_monpc_matches_reference_closure():
             for d in range(k + 1):
                 for m in combinations(range(1, num_vars + 1), d):
                     assert got.basis.span_monomial(m) == ref_basis.contains({m: 1})
+        # a single-term axiom of three variables is lifted into the rows, not the quotient
+        for system in _wide_monomial_systems(field):
+            for k in (3, 4):
+                _assert_same_span(monpc_saturate(system, k, full_closure=True),
+                                  _reference_monpc(system, k))
 
 
 def test_pc_matches_reference_closure():
@@ -450,6 +477,10 @@ def test_pc_matches_reference_closure():
                 got = pc_saturate(system, k, full_closure=True)
                 _assert_same_span(got, _reference_pc(system, k))
                 assert pc_saturate(system, k).refuted == got.refuted
+        for system in _wide_monomial_systems(field):
+            for k in (3, 4):
+                _assert_same_span(pc_saturate(system, k, full_closure=True),
+                                  _reference_pc(system, k))
 
 
 def test_pc_k4_cfi_pair_at_degree_two():
@@ -466,6 +497,11 @@ def test_pc_k4_cfi_pair_at_degree_two():
         assert time.monotonic() - start < 60
         assert not result.refuted
         assert result.basis.dimension == 6319
+        # full PC refutes the pair at degree 3, where monomial PC needs degree 4
+        system = encode_iso_poly_colored(ga, gb, field)
+        start = time.monotonic()
+        assert pc_saturate(system, 3).refuted
+        assert time.monotonic() - start < 60
 
 
 def _exactly_one_blocks(rng, field):
@@ -562,3 +598,57 @@ def test_monpc_k4_cfi_pair_at_degree_three():
         assert not result.refuted
         assert len(result.basis.vectors) == 165848
         assert result.basis.dimension == 233560
+
+
+def _relabelled(system, perm):
+    """The system with variable i renamed perm[i]."""
+    return PolySystem(system.field, system.num_vars,
+                      [P([(tuple(perm[v] for v in m), c) for m, c in p.terms.items()], system.field)
+                       for p in system.axioms])
+
+
+def _mixed_system(rng, field):
+    """Single-term axioms of one to three variables next to linear and
+    nonlinear axioms."""
+    n = rng.randint(4, 6)
+    axioms = [P([(tuple(rng.sample(range(1, n + 1), rng.randint(1, 3))), 1)], field)
+              for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(1, 2)):
+        axioms.append(P([((x,), rng.choice([-1, 1, 2])) for x in rng.sample(range(1, n + 1), 3)]
+                        + [((), rng.choice([0, -1]))], field))
+    for _ in range(rng.randint(0, 2)):
+        x, y, z = rng.sample(range(1, n + 1), 3)
+        axioms.append(P([((x, y), 1), ((z,), rng.choice([-1, 1])), ((), rng.choice([0, 1]))],
+                        field))
+    return PolySystem(field, n, axioms)
+
+
+def test_verdicts_invariant_under_variable_relabelling():
+    # renaming the variables changes the graded lex order, so the engines
+    # pick other leads, other echelon rows and other lifts to skip; the
+    # verdict, the dimension and the minimal degree must not change
+    rng = random.Random(34)
+    for field in (Q, Field(3)):
+        for _ in range(12):
+            system = _mixed_system(rng, field)
+            ids = list(range(1, system.num_vars + 1))
+            perm = dict(zip(ids, rng.sample(ids, len(ids))))
+            other = _relabelled(system, perm)
+            for engine, saturate in ENGINES.items():
+                for k in (3, 4):
+                    a, b = (saturate(s, k, full_closure=True) for s in (system, other))
+                    assert (a.refuted, a.basis.dimension) == (b.refuted, b.basis.dimension)
+                assert (min_refutation_degree(system, engine, 4)
+                        == min_refutation_degree(other, engine, 4))
+    a, b = twisted_pair(K4, 2)
+    ga, gb = to_graph(a), to_graph(b)
+    for field in (Q, Field(3)):
+        system = encode_iso_poly_colored(ga, gb, field)
+        system = PolySystem(field, system.num_vars, [p for p in system.axioms if p.degree <= 2])
+        ids = list(range(1, system.num_vars + 1))
+        other = _relabelled(system, dict(zip(ids, rng.sample(ids, len(ids)))))
+        for saturate, dimension in ((monpc_saturate, 5400), (pc_saturate, 6319)):
+            for s in (system, other):
+                result = saturate(s, 2)
+                assert not result.refuted
+                assert result.basis.dimension == dimension
