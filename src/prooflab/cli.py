@@ -108,6 +108,11 @@ def cmd_encode(args) -> int:
         sys.stdout.write(resolution.write_dimacs(f))
     elif args.problem == "iso":
         g, h = _load_graph(args.g), _load_graph(args.h)
+        relations = set(g.relations) | set(h.relations)
+        if args.format != "poly-colored" and (len(set(g.colors) | set(h.colors)) > 1
+                                              or relations - {"E"}):
+            raise UsageError(f"--format {args.format} encodes the edge relation E of "
+                             "uncoloured graphs only; use --format poly-colored")
         if args.format == "cnf":
             f = encoders.encode_iso_cnf(g.n, sorted(g.relations.get("E", frozenset())),
                                         h.n, sorted(h.relations.get("E", frozenset())))
@@ -248,7 +253,8 @@ def cmd_experiment(args) -> int:
     elif args.kind == "wl-calibrate":
         report = experiments.experiment_wl_calibrate(
             k_max=args.k_max, dim_max=args.dim_max, timeout_s=timeout,
-            workers=args.workers, include_cfi=not args.no_cfi)
+            workers=args.workers,
+            pairs=experiments.calibration_pairs(include_cfi=not args.no_cfi))
         rows = report["rows"]
         log.info("offsets observed: %s; c = %s", report["offsets"], report["c"])
         _emit({"offsets": report["offsets"], "c": report["c"]})

@@ -61,10 +61,12 @@ def encode_iso_cnf(n_g: int, g_edges, n_h: int, h_edges) -> CnfFormula:
         clauses.append([var(v, w) for v in range(n_g)])
     for (v1, w1) in product(range(n_g), range(n_h)):
         for (v2, w2) in product(range(n_g), range(n_h)):
-            if (v1, w1) >= (v2, w2):
+            if (v1, w1) > (v2, w2):
                 continue
+            # with (v1, w1) == (v2, w2) this compares the loops at v1 and w1,
+            # and the conflict clause is a unit
             if _conflict(rel_pairs, v1, w1, v2, w2):
-                clauses.append([-var(v1, w1), -var(v2, w2)])
+                clauses.append(list(dict.fromkeys([-var(v1, w1), -var(v2, w2)])))
     return CnfFormula(max(n_g * nv, 1), clauses)
 
 
@@ -136,8 +138,9 @@ def encode_iso_poly_colored(g: ColoredGraph, h: ColoredGraph,
     pairs = sorted(var)
     for (v1, w1) in pairs:
         for (v2, w2) in pairs:
-            if (v1, w1) >= (v2, w2):
+            if (v1, w1) > (v2, w2):
                 continue
+            # (v1, w1) == (v2, w2) compares loops: a one-variable conflict
             if _conflict(rel_pairs, v1, w1, v2, w2):
                 mono = tuple(sorted({var[(v1, w1)], var[(v2, w2)]}))
                 axioms.append(Polynomial(field, [(mono, 1)]))

@@ -1,9 +1,14 @@
 """Experiment drivers: CFI degree growth, WL/degree calibration, CSP sweeps.
 
-Cells run in worker subprocesses with a wall-clock timeout each; a timed-out
-cell is recorded as such and the run continues.  Reports are deterministic
-given the same inputs and are emitted as CSV plus a JSON mirror (one object
-per row, same keys as the CSV columns).
+Each cell runs in a worker subprocess with a wall-clock timeout.  A cell is
+a generator of dicts that its worker sends down a one-way pipe; the parent
+waits on the pipes, merges every dict into the cell's row, and learns that
+a cell ended from the end of its pipe (a worker's last dict says "done" or
+"error"; a cell that exits without one is an error) or from its deadline
+(the cell is stopped, what it sent is kept, and the row reads "timeout").
+Both pair experiments run one cell body: the WL sweep, then the degree
+sweep.  Reports are deterministic given the same inputs and are emitted as
+CSV plus a JSON mirror (one object per row, same keys as the CSV columns).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import json
 import multiprocessing as mp
 import os
 import time
+from multiprocessing.connection import wait
 from typing import Optional
 
 from .algebra import Field, RATIONALS, is_prime
@@ -22,43 +28,29 @@ from .encoders import (brute_force_homomorphism, clique_structure, cycle_structu
                        encode_iso_poly, encode_iso_poly_colored, encode_kconsistency_cnf,
                        k_consistency)
 from .errors import UsageError
-from .pc import degree_sweep, min_refutation_degree
+from .pc import PolySystem, degree_sweep
 from .resolution import kres_refutes
 from .wl import ColoredGraph, wl_sweep
 
 
-def _cell_worker(queue, func, args):
-    try:
-        for message in func(*args):
-            queue.put(message)
-        queue.put(("done",))
-    except Exception as exc:  # surfaced in the row rather than crashing the run
-        queue.put(("error", f"{type(exc).__name__}: {exc}"))
-
-
-def _drain(queue, acc: dict) -> None:
-    """Merge the messages waiting on a cell's queue into its result."""
-    while True:
+def _cell_worker(conn, func, args):
+    with conn:
         try:
-            msg = queue.get_nowait()
-        except Exception:
-            return
-        if msg[0] == "progress":
-            acc.update(msg[1])
-        elif msg[0] == "error":
-            acc["status"] = "error"
-            acc["error"] = msg[1]
-        elif msg[0] == "done":
-            acc.setdefault("status", "done")
+            for message in func(*args):
+                conn.send(message)
+            conn.send({"status": "done"})
+        except Exception as exc:  # surfaced in the row rather than crashing the run
+            conn.send({"status": "error", "error": f"{type(exc).__name__}: {exc}"})
 
 
 def run_cells(cells: list, timeout_s: float, workers: Optional[int] = None) -> dict:
     """Run (key, generator_func, args) cells in worker processes.
 
-    Each cell yields ("progress", dict) messages and may finish normally;
-    the result per key is the merged progress dict plus a status of
-    "done", "timeout", or "error".  Results merge deterministically by key.
-    `workers` defaults to min(4, cpu_count) and must be at least 1.
+    Each cell yields dicts, which are merged into its result in order; the
+    result per key then carries a status of "done", "timeout", or "error".
+    A cell that exits without saying how it ended is an error.  Results
+    merge deterministically by key.  `workers` defaults to min(4,
+    cpu_count) and must be at least 1.
     """
     if workers is None:
         workers = min(4, os.cpu_count() or 1)
@@ -66,83 +58,61 @@ def run_cells(cells: list, timeout_s: float, workers: Optional[int] = None) -> d
         raise UsageError(f"workers must be >= 1, got {workers}")
     results: dict = {}
     pending = list(cells)
-    running: list = []
+    running: dict = {}  # reading end -> (key, process, deadline)
     while pending or running:
         while pending and len(running) < workers:
             key, func, args = pending.pop(0)
-            queue: mp.Queue = mp.Queue()
-            proc = mp.Process(target=_cell_worker, args=(queue, func, args), daemon=True)
+            reader, writer = mp.Pipe(duplex=False)
+            proc = mp.Process(target=_cell_worker, args=(writer, func, args), daemon=True)
             proc.start()
-            running.append((key, proc, queue, time.monotonic(), {}))
-        still = []
-        for key, proc, queue, started, acc in running:
-            _drain(queue, acc)
-            if not proc.is_alive() and "status" in acc:
-                results[key] = acc
-            elif not proc.is_alive():
-                # drain whatever arrived between the poll and exit
-                time.sleep(0.05)
-                _drain(queue, acc)
-                acc.setdefault("status", "error")
-                results[key] = acc
-            elif time.monotonic() - started > timeout_s:
-                proc.terminate()
+            writer.close()  # the cell holds the only sending end, so its exit is EOF
+            results[key] = {}
+            running[reader] = (key, proc, time.monotonic() + timeout_s)
+        earliest = min(deadline for _, _, deadline in running.values())
+        for conn in wait(list(running), max(0.0, earliest - time.monotonic())):
+            try:
+                results[running[conn][0]].update(conn.recv())
+            except (EOFError, OSError):  # the cell has exited; all it sent whole is read
+                key, proc, _ = running.pop(conn)
                 proc.join()
-                acc["status"] = "timeout"
-                results[key] = acc
-            else:
-                still.append((key, proc, queue, started, acc))
-        running = still
-        if running:
-            time.sleep(0.02)
+                conn.close()
+                results[key].setdefault("status", "error")
+        now = time.monotonic()
+        for conn in [c for c, (_, _, deadline) in running.items() if deadline <= now]:
+            key, proc, _ = running.pop(conn)
+            proc.terminate()
+            proc.join()
+            # stopped, the cell sends nothing more: read what its pipe holds
+            try:
+                while conn.poll():
+                    results[key].update(conn.recv())
+            except (EOFError, OSError):  # OSError: a send cut short
+                pass
+            conn.close()
+            results[key]["status"] = "timeout"
     return results
 
 
-# --- cell bodies (generators yielding progress messages) ---------------------
+# --- cell bodies (generators yielding dicts for the row) ---------------------
 
 
-def _degree_growth_cell(base_name: str, p: int, field_p: Optional[int], k_max: int,
-                        dim_max: int):
-    base = BASE_LIBRARY[base_name]
-    field = RATIONALS if field_p is None else Field(field_p)
-    a, b = twisted_pair(base, p)
-    ga, gb = to_graph(a), to_graph(b)
-    system = encode_iso_poly_colored(ga, gb, field)
-    yield ("progress", {"base": base_name, "base_n": base.n, "p": p,
-                        "num_vars": system.num_vars, "min_degree": None,
-                        "k_checked": 0, "basis_dims": []})
-    # WL first: it is cheap next to the closures, so a row cut by the
-    # timeout still carries wl_dim, and a missing key means "not measured"
+def _pair_cell(row: dict, g: ColoredGraph, h: ColoredGraph, system: PolySystem,
+               k_max: int, dim_max: int):
+    """The WL dimension of a pair of graphs, then the minimal monomial-PC
+    degree of its isomorphism system.  WL goes first: it is cheap next to
+    the closures, so a row cut by the timeout still carries wl_dim, and a
+    missing key means "not measured"."""
+    yield dict(row, num_vars=system.num_vars, min_degree=None, k_checked=0, basis_dims=[])
     t0 = time.monotonic()
-    wl_dim = wl_sweep(ga, gb, dim_max)
-    yield ("progress", {"wl_dim": wl_dim, "wl_seconds": round(time.monotonic() - t0, 2)})
+    wl_dim = wl_sweep(g, h, dim_max)
+    yield {"wl_dim": wl_dim, "wl_seconds": round(time.monotonic() - t0, 2)}
     dims = []
     t0 = time.monotonic()
     for k, refuted, dimension in degree_sweep(system, "monpc", k_max):
         dims.append(dimension)
-        yield ("progress", {"k_checked": k, "basis_dims": list(dims),
-                            "k_seconds": round(time.monotonic() - t0, 2)})
-        if refuted:
-            yield ("progress", {"min_degree": k})
+        yield {"k_checked": k, "basis_dims": list(dims), "min_degree": k if refuted else None,
+               "k_seconds": round(time.monotonic() - t0, 2)}
         t0 = time.monotonic()
-
-
-def _calibration_cell(name: str, g: ColoredGraph, h: ColoredGraph, colored: bool,
-                      k_max: int, dim_max: int):
-    field = RATIONALS
-    if colored:
-        system = encode_iso_poly_colored(g, h, field)
-    else:
-        edges_g = sorted(g.relations.get("E", frozenset()))
-        edges_h = sorted(h.relations.get("E", frozenset()))
-        system = encode_iso_poly(g.n, edges_g, h.n, edges_h, field)
-    yield ("progress", {"pair": name, "num_vars": system.num_vars,
-                        "min_degree": None, "k_checked": 0})
-    degree = min_refutation_degree(system, "monpc", k_max)
-    yield ("progress", {"k_checked": k_max if degree is None else degree,
-                        "min_degree": degree})
-    wl_dim = wl_sweep(g, h, dim_max)
-    yield ("progress", {"wl_dim": wl_dim})
 
 
 def _csp_cell(n: int, k: int):
@@ -153,9 +123,8 @@ def _csp_cell(n: int, k: int):
     width = max(len(c) for c in cnf.clauses)
     res_verdict = not kres_refutes(cnf, width)
     brute = brute_force_homomorphism(cyc, template)
-    yield ("progress", {"cycle": n, "k": k, "direct": direct,
-                        "resolution": res_verdict, "brute_force": brute,
-                        "width": width, "agree": direct == res_verdict == brute})
+    yield {"cycle": n, "k": k, "direct": direct, "resolution": res_verdict,
+           "brute_force": brute, "width": width, "agree": direct == res_verdict == brute}
 
 
 def experiment_degree_growth(bases: list, p: int = 2, field: Field = RATIONALS,
@@ -182,10 +151,14 @@ def experiment_degree_growth(bases: list, p: int = 2, field: Field = RATIONALS,
     if k_max < 1 or dim_max < 1:
         raise UsageError(f"k_max and dim_max must be >= 1, got {k_max} and {dim_max}")
     by_size = sorted(bases, key=lambda b: BASE_LIBRARY[b].n)
+    cells = []
     # largest base first: its cell bounds the wall time, so it should not
     # wait in the queue behind the small ones
-    cells = [(b, _degree_growth_cell, (b, p, field.p, k_max, dim_max))
-             for b in reversed(by_size)]
+    for b in reversed(by_size):
+        ga, gb = map(to_graph, twisted_pair(BASE_LIBRARY[b], p))
+        row = {"base": b, "base_n": BASE_LIBRARY[b].n, "p": p}
+        cells.append((b, _pair_cell, (row, ga, gb, encode_iso_poly_colored(ga, gb, field),
+                                      k_max, dim_max)))
     results = run_cells(cells, timeout_s, workers)
     return [results[b] for b in by_size]
 
@@ -255,16 +228,22 @@ def calibration_pairs(include_cfi: bool = True) -> list:
 def experiment_wl_calibrate(k_max: int = 4, dim_max: int = 3,
                             timeout_s: float = 300.0,
                             workers: Optional[int] = None,
-                            include_cfi: bool = True,
                             pairs: Optional[list] = None) -> dict:
     """Fit the single offset between minimal refutation degree and WL
-    dimension over the calibration corpus; rows keep the per-pair data."""
+    dimension over `pairs` (default: the whole calibration corpus), each
+    encoded over Q; rows keep the per-pair data."""
     if k_max < 1 or dim_max < 1:
         raise UsageError(f"k_max and dim_max must be >= 1, got {k_max} and {dim_max}")
     if pairs is None:
-        pairs = calibration_pairs(include_cfi)
-    cells = [(name, _calibration_cell, (name, g, h, colored, k_max, dim_max))
-             for (name, g, h, colored) in pairs]
+        pairs = calibration_pairs()
+    cells = []
+    for name, g, h, colored in pairs:
+        if colored:
+            system = encode_iso_poly_colored(g, h)
+        else:
+            system = encode_iso_poly(g.n, sorted(g.relations.get("E", frozenset())),
+                                     h.n, sorted(h.relations.get("E", frozenset())))
+        cells.append((name, _pair_cell, ({"pair": name}, g, h, system, k_max, dim_max)))
     results = run_cells(cells, timeout_s, workers)
     rows = [results[name] for (name, _, _, _) in pairs]
     offsets = sorted({row["min_degree"] - row["wl_dim"] for row in rows

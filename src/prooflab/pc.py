@@ -261,6 +261,12 @@ class Basis:
 
     @property
     def dimension(self) -> int:
+        """Dimension of the span, quotient included.  A refuted span closes
+        to the whole space under both engines' rules, so a refuted basis
+        counts every monomial of degree <= k, whether or not its closure
+        stopped early."""
+        if self.refuted:
+            return sum(comb(self.num_vars, d) for d in range(self.k + 1))
         return len(self.vectors) + self.quotient_size()
 
     @property

@@ -78,7 +78,7 @@ def brute_colored_iso(g: ColoredGraph, h: ColoredGraph) -> bool:
     used = set()
 
     def consistent(v, w):
-        for u, x in mapping.items():
+        for u, x in [*mapping.items(), (v, w)]:  # u = v compares the loops at v and w
             for r in rels:
                 if ((u, v) in g_rel[r]) != ((x, w) in h_rel[r]):
                     return False

@@ -83,6 +83,37 @@ def test_encode_nonreach_round_trip(tmp_path, capsys):
     assert out.startswith("p cnf")
 
 
+def test_encode_iso_formats(tmp_path, capsys):
+    # a triangle against a 3-vertex path: 1-WL splits them, so degree 2 refutes
+    (tmp_path / "g.graph").write_text("3 3\n0 1\n1 2\n0 2\n")
+    (tmp_path / "h.graph").write_text("3 2\n0 1\n1 2\n")
+    iso = ["encode", "iso", "--g", str(tmp_path / "g.graph"), "--h", str(tmp_path / "h.graph")]
+    code, out = run(capsys, *iso, "--format", "cnf")
+    assert code == 0 and out.startswith("p cnf 9 ")
+    for fmt in ("poly", "poly-colored"):
+        code, out = run(capsys, *iso, "--format", fmt, "--field", "Fp:3")
+        assert code == 0
+        (tmp_path / "sys.json").write_text(out)
+        code, out = run(capsys, "min-degree", str(tmp_path / "sys.json"), "--k-max", "3")
+        assert code == 10 and json.loads(out)["min_degree"] == 2
+
+
+def test_encode_iso_poly_colored_keeps_what_the_others_refuse(tmp_path, capsys):
+    # the pairs that cnf and poly refuse (MALFORMED below) are told apart
+    # by WL and refuted through poly-colored
+    for _, g, h in COLOURED_PAIRS:
+        (tmp_path / "g.json").write_text(json.dumps(g))
+        (tmp_path / "h.json").write_text(json.dumps(h))
+        graphs = ["--g", str(tmp_path / "g.json"), "--h", str(tmp_path / "h.json")]
+        assert run(capsys, "wl", *graphs)[0] == 10
+        code, out = run(capsys, "encode", "iso", *graphs, "--format", "poly-colored")
+        assert code == 0
+        (tmp_path / "sys.json").write_text(out)
+        assert run(capsys, "min-degree", str(tmp_path / "sys.json"))[0] == 10
+        assert cli_main(["encode", "iso", *graphs, "--format", "cnf"]) == 2
+        assert "--format poly-colored" in capsys.readouterr().err
+
+
 def test_cfi_aut_dimension(capsys):
     code, out = run(capsys, "cfi", "aut", "--base", "k4", "--p", "2")
     assert code == 0
@@ -147,6 +178,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli_main(["res", "horn", str(path)]) == 2  # non-Horn input
 
 
+_PATH = [[0, 1], [1, 0], [1, 2], [2, 1]]
+# two 3-vertex paths that differ only in their colours, or only in a
+# relation other than E, which the cnf and poly formats would drop
+COLOURED_PAIRS = [
+    ("colours", {"n": 3, "colors": [0, 0, 1], "relations": {"E": _PATH}},
+     {"n": 3, "colors": [0, 1, 0], "relations": {"E": _PATH}}),
+    ("relation", {"n": 3, "relations": {"E": _PATH, "A": [[0, 1]]}},
+     {"n": 3, "relations": {"E": _PATH, "A": [[1, 2]]}}),
+]
+
 MALFORMED = [
     ("pc-not-json", {"sys.json": "not json"}, ["pc", "sys.json", "--degree", "2"]),
     ("pc-no-polys", {"sys.json": json.dumps({"field": {"kind": "Q"}, "num_vars": 1})},
@@ -207,6 +248,12 @@ MALFORMED = [
      ["experiment", "csp-sweep", "--cycle-min", "3", "--cycle-max", "3", "--config", "exp.cfg"]),
     ("config-unknown-key", {"exp.cfg": "k_max=1\n"},
      ["experiment", "csp-sweep", "--cycle-min", "3", "--cycle-max", "3", "--config", "exp.cfg"]),
+] + [
+    (f"encode-iso-{fmt}-{name}", {"g.json": json.dumps(g), "h.json": json.dumps(h)},
+     ["encode", "iso", "--g", "g.json", "--h", "h.json", "--format", fmt])
+    for name, g, h in COLOURED_PAIRS
+    for fmt in ("cnf", "poly")
+] + [
     ("exp-p-not-prime", {}, ["experiment", "degree-growth", "--bases", "k4", "--p", "4"]),
     ("exp-k-zero", {}, ["experiment", "csp-sweep", "--cycle-min", "3", "--cycle-max", "3",
                         "--k", "0"]),

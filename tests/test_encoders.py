@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import brute_graph_iso, poly_system_has_boolean_zero, sat_oracle
+from conftest import brute_colored_iso, brute_graph_iso, poly_system_has_boolean_zero, sat_oracle
 from prooflab.encoders import (brute_force_homomorphism, clique_structure,
                                cycle_structure, encode_iso_cnf, encode_iso_poly,
                                encode_iso_poly_colored, encode_kconsistency_cnf,
@@ -128,6 +128,25 @@ def test_iso_poly_colored_class_mismatch():
     h = ColoredGraph(2, (0, 1), {})
     with pytest.raises(UsageError):
         encode_iso_poly_colored(g, h)
+
+
+def test_iso_encoders_compare_loops():
+    # a 3-vertex path with a loop at an end against one with a loop in the
+    # middle: only the one-variable conflict X[v -> w] for a loop at v but
+    # not at w tells them apart
+    path = [(0, 1), (1, 2)]
+    ge, he = path + [(0, 0)], path + [(1, 1)]
+    sym = lambda edges: frozenset(edges) | {(v, u) for (u, v) in edges}
+    g = ColoredGraph(3, None, {"E": sym(ge)})
+    h = ColoredGraph(3, None, {"E": sym(he)})
+    assert wl_sweep(g, h, 3) == 1 and not brute_colored_iso(g, h)
+    assert min_refutation_degree(encode_iso_poly(3, ge, 3, he), "monpc", 4) == 2
+    assert min_refutation_degree(encode_iso_poly_colored(g, h), "monpc", 4) == 2
+    cnf = encode_iso_cnf(3, ge, 3, he)
+    assert not sat_oracle(cnf) and kres_refutes(cnf, 3)
+    # a graph against itself keeps its loops consistent
+    assert poly_system_has_boolean_zero(encode_iso_poly_colored(g, g))
+    assert sat_oracle(encode_iso_cnf(3, ge, 3, ge))
 
 
 def test_iso_poly_colored_cfi_control_pair():

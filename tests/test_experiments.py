@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from prooflab.algebra import Field, RATIONALS
@@ -47,14 +49,26 @@ def test_degree_growth_timed_out_row_keeps_wl_dim():
     assert row["min_degree"] is None and row["k_checked"] < 4
 
 
+def test_wl_calibrate_timed_out_row_keeps_wl_dim():
+    # as for degree growth: 1-WL on the K4 pair is quick, its degree-4
+    # closure takes far longer than the timeout
+    pairs = [p for p in calibration_pairs() if p[0] == "cfi_k4_twisted"]
+    report = experiment_wl_calibrate(k_max=4, dim_max=1, timeout_s=5.0, pairs=pairs)
+    (row,) = report["rows"]
+    assert row["status"] == "timeout" and row["pair"] == "cfi_k4_twisted"
+    assert "wl_dim" in row and row["wl_dim"] is None
+    assert row["min_degree"] is None and row["k_checked"] < 4
+    assert report["offsets"] == [] and report["c"] is None
+
+
 def test_run_cells_timeout_and_error_paths():
     def slow_cell(n):
         import time
-        yield ("progress", {"n": n})
+        yield {"n": n}
         time.sleep(30)
 
     def bad_cell(n):
-        yield ("progress", {"n": n})
+        yield {"n": n}
         raise ValueError("boom")
 
     results = run_cells([("slow", slow_cell, (1,)), ("bad", bad_cell, (2,))],
@@ -65,9 +79,27 @@ def test_run_cells_timeout_and_error_paths():
     assert "boom" in results["bad"]["error"]
 
 
+def test_run_cells_cell_that_exits_is_an_error_and_keeps_its_progress():
+    def exiting_cell():
+        yield {"n": 1}
+        os._exit(0)  # no "done", no "error": the pipe just ends
+
+    results = run_cells([("gone", exiting_cell, ())], timeout_s=60.0, workers=1)
+    assert results["gone"] == {"n": 1, "status": "error"}
+
+
+def test_run_cells_many_cells_few_workers():
+    def cell(i):
+        yield {"i": i}
+        yield {"square": i * i}
+
+    results = run_cells([(i, cell, (i,)) for i in range(20)], timeout_s=60.0, workers=2)
+    assert results == {i: {"i": i, "square": i * i, "status": "done"} for i in range(20)}
+
+
 def test_run_cells_rejects_workers_below_one():
     def cell():
-        yield ("progress", {})
+        yield {}
 
     for workers in (0, -1):
         with pytest.raises(UsageError):
