@@ -259,6 +259,8 @@ def experiment_csp_sweep(cycle_min: int = 3, cycle_max: int = 8, k: int = 3,
     clause encoding, and brute-force homomorphism, per cycle."""
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
+    if cycle_min < 3 or cycle_max < cycle_min:
+        raise UsageError(f"cycles need 3 <= cycle_min <= cycle_max, got {cycle_min} and {cycle_max}")
     cells = [(n, _csp_cell, (n, k)) for n in range(cycle_min, cycle_max + 1)]
     results = run_cells(cells, timeout_s, workers)
     return [results[n] for n in range(cycle_min, cycle_max + 1)]

@@ -53,19 +53,19 @@ def horn_refute(f: CnfFormula) -> HornResult:
     its variables in D (the empty clause counts).
     """
     pos_of = []
-    for c in f.clauses:
-        pos = [lit for lit in c if lit > 0]
-        if len(pos) > 1:
-            raise UsageError(f"non-Horn clause {sorted(c)}: more than one positive literal")
-        pos_of.append(pos[0] if pos else None)
-
-    neg_index: dict[int, list[int]] = {}
     counts = []
+    neg_index: dict[int, list[int]] = {}
     for i, c in enumerate(f.clauses):
-        negs = {-lit for lit in c if lit < 0}
-        counts.append(len(negs))
-        for v in negs:
-            neg_index.setdefault(v, []).append(i)
+        p = None
+        for lit in c:
+            if lit < 0:
+                neg_index.setdefault(-lit, []).append(i)
+            elif p is None:
+                p = lit
+            else:
+                raise UsageError(f"non-Horn clause {sorted(c)}: more than one positive literal")
+        pos_of.append(p)
+        counts.append(len(c) - (p is not None))
 
     derived: set[int] = set()
     queue = deque(i for i, n in enumerate(counts) if n == 0)
@@ -139,6 +139,16 @@ def kres_refutes(f: CnfFormula, k: int) -> bool:
     stand in for any clause in every width-bounded resolution step, so
     pruning preserves derivability of the empty clause while keeping the
     working set small, and the width-k closure is never materialised.
+
+    Each distinct resolvent of width <= k is decided once: a resolvent
+    already in `seen` is skipped before the tautology test and before
+    `add`.  This is exact.  The first occurrence was either a tautology,
+    which the test rejects again, or passed to `add`.  A clause leaves
+    `alive` only when a strict subset of it enters, so every clause that
+    was ever alive, or was ever forward-subsumed, still has an alive
+    subset, and `add` would reject the repeat.  The alive sets, the
+    schedule and the verdict are those of the unskipped loop; only
+    rejected calls go.
     """
     if k < 1:
         raise UsageError("width bound k must be >= 1")
@@ -146,6 +156,7 @@ def kres_refutes(f: CnfFormula, k: int) -> bool:
         return True
 
     alive: set[Clause] = set()
+    seen: set[Clause] = set()  # every resolvent of width <= k generated so far
     index: dict[int, list[Clause]] = {}
 
     def add(c: Clause) -> bool:
@@ -184,7 +195,10 @@ def kres_refutes(f: CnfFormula, k: int) -> bool:
                 if d not in alive:
                     continue
                 resolvent = c_rest | (d - {-lit})
-                if len(resolvent) > k or any(-x in resolvent for x in resolvent):
+                if len(resolvent) > k or resolvent in seen:
+                    continue
+                seen.add(resolvent)
+                if any(-x in resolvent for x in resolvent):
                     continue
                 if not resolvent:
                     return True
@@ -280,18 +294,26 @@ def _dimacs_int(tok: str, line: str) -> int:
 
 
 def read_dimacs(text: str) -> CnfFormula:
-    """Parse the standard `p cnf <vars> <clauses>` format."""
+    """Parse the standard `p cnf <vars> <clauses>` format.
+
+    A line that is exactly `%` ends the formula, as in the SATLIB
+    benchmark files, which put `%` and `0` after the last clause.
+    """
     num_vars = None
     clauses = []
     current: list[int] = []
     for line in text.splitlines():
         line = line.strip()
+        if line == "%":
+            break
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise UsageError(f"bad DIMACS header: {line!r}")
+            if num_vars is not None:
+                raise UsageError(f"second DIMACS header: {line!r}")
             num_vars = _dimacs_int(parts[2], line)
             continue
         for tok in line.split():

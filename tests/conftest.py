@@ -190,10 +190,10 @@ def random_horn_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> CnfF
 
 
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int,
-               max_width: int = 3) -> CnfFormula:
+               max_width: int = 3, min_width: int = 1) -> CnfFormula:
     clauses = []
     for _ in range(num_clauses):
-        width = rng.randint(1, min(max_width, num_vars))
+        width = rng.randint(min_width, min(max_width, num_vars))
         vars_ = rng.sample(range(1, num_vars + 1), width)
         clauses.append([v if rng.random() < 0.5 else -v for v in vars_])
     return CnfFormula(num_vars, clauses)

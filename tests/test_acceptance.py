@@ -305,7 +305,7 @@ def test_criterion_10_degree_growth():
 
 def test_criterion_11_csp_dichotomy_on_cycles():
     template = clique_structure(2)
-    for n in range(3, 9):
+    for n in range(3, 11):
         cyc = cycle_structure(n)
         direct = k_consistency(cyc, template, 3)
         brute = brute_force_homomorphism(cyc, template)
@@ -313,4 +313,4 @@ def test_criterion_11_csp_dichotomy_on_cycles():
         width = max(len(c) for c in cnf.clauses)
         resolution_sat = not kres_refutes(cnf, width)
         assert direct == resolution_sat == brute, f"C{n}"
-    report(11, True, "cycles C3..C8: resolution, direct test, and brute force agree")
+    report(11, True, "cycles C3..C10: resolution, direct test, and brute force agree")

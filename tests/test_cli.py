@@ -67,6 +67,17 @@ def test_res_kres_verdicts(tmp_path):
         assert json.loads(proc.stdout) == {"refuted": refuted, "width": 3}
 
 
+def test_res_kres_on_satlib_file(tmp_path, capsys):
+    # SATLIB's uf files end in `%` and `0`; read as clauses, that `0` would
+    # be the empty clause and refute every formula
+    path = tmp_path / "uf4-01.cnf"
+    path.write_text("c This Formular is generated by mcnf\nc\np cnf 4  3 \n"
+                    " 1 -2 3 0\n-1 2 4 0\n2 -3 -4 0\n%\n0\n\n")
+    code, out = run(capsys, "res", "kres", str(path), "--width", "3")
+    assert code == 11
+    assert json.loads(out) == {"refuted": False, "width": 3}
+
+
 def test_wl_identical_graphs(tmp_path, capsys):
     g = tmp_path / "g.graph"
     g.write_text("3 3\n0 1\n1 2\n0 2\n")
@@ -226,6 +237,7 @@ MALFORMED = [
 ] + [
     ("cfi-bad-load", {}, ["cfi", "gen", "--base", "k4", "--load", "1,x"]),
     ("res-bad-token", {"f.cnf": "p cnf 2 1\n1 x 0\n"}, ["res", "kres", "f.cnf"]),
+    ("res-two-headers", {"f.cnf": "p cnf 2 1\np cnf 5 1\n1 0\n"}, ["res", "kres", "f.cnf"]),
     ("lfp-not-json", {"s.json": "{", "phi.lfp": "(= x x)"},
      ["lfp", "eval", "--structure", "s.json", "--formula", "phi.lfp"]),
     ("wl-no-n", {"g.json": json.dumps({"relations": {}})},
@@ -259,6 +271,11 @@ MALFORMED = [
                         "--k", "0"]),
     ("exp-workers-negative", {}, ["experiment", "csp-sweep", "--cycle-min", "3",
                                   "--cycle-max", "3", "--workers", "-1"]),
+    # C1 is a self-loop and C2 one edge: no cycle below 3, and no empty range
+    ("exp-cycle-below-3", {}, ["experiment", "csp-sweep", "--cycle-min", "1",
+                               "--cycle-max", "2"]),
+    ("exp-cycle-range-empty", {}, ["experiment", "csp-sweep", "--cycle-min", "5",
+                                   "--cycle-max", "4"]),
 ] + [
     # a term is a name, and = takes two terms, negated or not
     (f"lfp-{action}-{name}",

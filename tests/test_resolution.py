@@ -98,6 +98,13 @@ def test_kres_refutes_agrees_with_saturation():
         f = random_cnf(rng, rng.randint(1, 8), rng.randint(1, 20), max_width=3)
         for k in (2, 3):
             assert kres_refutes(f, k) == kres_saturate(f, k).refuted
+    # denser formulas without units, where the same resolvent arises from
+    # many pairs: two in five of the resolvents kres_refutes meets are repeats
+    rng = random.Random(502)
+    for _ in range(120):
+        f = random_cnf(rng, rng.randint(6, 8), rng.randint(15, 25), max_width=3, min_width=2)
+        for k in (2, 3):
+            assert kres_refutes(f, k) == kres_saturate(f, k).refuted
 
 
 def test_kres_refutes_empty_input_clause():
