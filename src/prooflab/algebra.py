@@ -97,9 +97,6 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def format_scalar(self, x) -> str:
         if self.p is not None:
             return str(x)
@@ -178,11 +175,6 @@ class Matrix:
                 if v != 0:
                     entries[(i, j)] = v
         return cls(field, tuple(range(nr)), tuple(range(nc)), entries)
-
-    @classmethod
-    def identity(cls, field: Field, indices: Iterable) -> "Matrix":
-        indices = tuple(indices)
-        return cls(field, indices, indices, {(i, i): field.one() for i in indices})
 
     def get(self, r, c):
         return self.entries.get((r, c), self.field.zero())

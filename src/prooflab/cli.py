@@ -24,10 +24,13 @@ EXIT_USAGE = 2
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_json(text: str, path: str):
@@ -373,11 +376,12 @@ def cli_main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except RecursionError:
+        # the formula parser, eval_poslfp and json recurse once per level
+        print("usage error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

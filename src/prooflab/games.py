@@ -10,6 +10,7 @@ degree-2 monomial-PC can decide the winning regions node by node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .algebra import Field, RATIONALS
@@ -26,6 +27,10 @@ class ThresholdGame:
 
     def __post_init__(self):
         self.edges = [tuple(e) for e in self.edges]
+        if type(self.n) is not int or self.n < 0:
+            raise UsageError(f"node count must be an int >= 0, got {self.n!r}")
+        if any(type(x) is not int for x in chain([self.start], self.theta, *self.edges)):
+            raise UsageError("the start node, thresholds and edge endpoints must be ints")
         seen = set()
         for (v, w) in self.edges:
             if not (0 <= v < self.n and 0 <= w < self.n):
@@ -210,5 +215,5 @@ def game_to_json(g: ThresholdGame) -> dict:
 
 def game_from_json(obj: dict) -> ThresholdGame:
     with malformed_input("game JSON"):
-        return ThresholdGame(int(obj["n"]), [tuple(e) for e in obj["edges"]],
-                             list(obj["theta"]), int(obj.get("start", 0)))
+        return ThresholdGame(obj["n"], [tuple(e) for e in obj["edges"]],
+                             list(obj["theta"]), obj.get("start", 0))

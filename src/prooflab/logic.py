@@ -9,7 +9,8 @@ supplied at parse time.  Negation is allowed on input atoms and equalities
 only (the posLFP discipline), every fixpoint name is bound once, and an lfp
 node may list application terms after its body (defaulting to its own bound
 variables).  N-ary and/or fold to balanced trees of binary nodes, which
-keeps the compiled clauses at width 3 for universal-free formulas.
+keeps the compiled clauses at width 3 for universal-free formulas.  A
+binder of a name already bound around it is renamed apart at parse time.
 """
 
 from __future__ import annotations
@@ -28,14 +29,18 @@ class RelStructure:
     relations: dict  # name -> (arity, frozenset of tuples)
 
     def __post_init__(self):
+        if type(self.universe_size) is not int or self.universe_size < 0:
+            raise UsageError(f"universe size must be an int >= 0, got {self.universe_size!r}")
         rels = {}
         for name, (arity, tuples) in self.relations.items():
+            if type(arity) is not int or arity < 0:
+                raise UsageError(f"arity of {name} must be an int >= 0, got {arity!r}")
             tuples = frozenset(tuple(t) for t in tuples)
             for t in tuples:
                 if len(t) != arity:
                     raise UsageError(f"tuple {t} has wrong arity for {name}/{arity}")
-                if any(not (0 <= e < self.universe_size) for e in t):
-                    raise UsageError(f"tuple {t} outside universe of size {self.universe_size}")
+                if any(type(e) is not int or not 0 <= e < self.universe_size for e in t):
+                    raise UsageError(f"tuple {t} is not of ints in range({self.universe_size})")
             rels[name] = (arity, tuples)
         self.relations = rels
 
@@ -51,9 +56,9 @@ def structure_to_json(a: RelStructure) -> dict:
 
 def structure_from_json(obj: dict) -> RelStructure:
     with malformed_input("structure JSON"):
-        rels = {name: (int(r["arity"]), frozenset(tuple(t) for t in r["tuples"]))
+        rels = {name: (r["arity"], frozenset(tuple(t) for t in r["tuples"]))
                 for name, r in obj.get("relations", {}).items()}
-        return RelStructure(int(obj["n"]), rels)
+        return RelStructure(obj["n"], rels)
 
 
 # --- formula tree ----------------------------------------------------------
@@ -150,15 +155,30 @@ def _fold(cls, parts):
     return cls(_fold(cls, parts[:mid]), _fold(cls, parts[mid:]))
 
 
-def _terms(parts) -> tuple:
-    """parts as a tuple of terms: a term is a name, never a parenthesised list."""
+def _terms(parts, scope: dict) -> tuple:
+    """parts as a tuple of terms, each read through scope: a term is a
+    name, never a parenthesised list."""
     for t in parts:
         if not isinstance(t, str):
             raise UsageError(f"a term must be a name, not ({' '.join(map(str, t))})")
-    return tuple(parts)
+    return tuple(scope.get(t, t) for t in parts)
 
 
-def _build(sexp, bound_fps: dict):
+def _bind(scope: dict, names, depth: int) -> dict:
+    """scope with names bound by a binder depth binders down.  A name bound
+    already, by an enclosing binder or as a parameter, is renamed apart (the
+    tokenizer cannot read the new name back), so no binder hides a variable
+    of an enclosing one: horn_encode relies on that."""
+    inner = dict(scope)
+    for v in names:
+        inner[v] = f"{v}({depth})" if v in scope else v
+    return inner
+
+
+def _build(sexp, bound_fps: dict, scope: dict, depth: int):
+    """The formula tree of sexp.  scope maps each name bound around it,
+    parameters included, to the name it has in the tree; depth counts the
+    binders around it."""
     if isinstance(sexp, str):
         raise UsageError(f"bare term {sexp!r} where a formula was expected")
     if not sexp:
@@ -167,73 +187,61 @@ def _build(sexp, bound_fps: dict):
     if not isinstance(head, str):
         raise UsageError("a formula must start with a keyword or a relation name")
     if head == "and" or head == "or":
-        parts = [_build(s, bound_fps) for s in sexp[1:]]
+        parts = [_build(s, bound_fps, scope, depth) for s in sexp[1:]]
         if not parts:
             raise UsageError(f"({head}) needs at least one argument")
         return _fold(And if head == "and" else Or, parts)
     if head == "not":
         if len(sexp) != 2:
             raise UsageError("(not ...) takes one argument")
-        inner = _build(sexp[1], bound_fps)
+        inner = _build(sexp[1], bound_fps, scope, depth)
         if not isinstance(inner, (Atom, Eq)) or inner.negated:
             raise UsageError("negation is allowed on input atoms only")
         return replace(inner, negated=True)
     if head == "=":
         if len(sexp) != 3:
             raise UsageError("(= ...) takes two terms")
-        return Eq(*_terms(sexp[1:]))
+        return Eq(*_terms(sexp[1:], scope))
     if head == "exists" or head == "forall":
         if len(sexp) != 3 or not isinstance(sexp[1], str):
             raise UsageError(f"({head} var body)")
-        body = _build(sexp[2], bound_fps)
-        return (Exists if head == "exists" else Forall)(sexp[1], body)
+        inner = _bind(scope, [sexp[1]], depth)
+        body = _build(sexp[2], bound_fps, inner, depth + 1)
+        return (Exists if head == "exists" else Forall)(inner[sexp[1]], body)
     if head == "lfp":
         if len(sexp) < 4 or not isinstance(sexp[1], str) or not isinstance(sexp[2], list):
             raise UsageError("(lfp R (vars...) body args...)")
         name = sexp[1]
-        fp_vars = _terms(sexp[2])
-        body = _build(sexp[3], {**bound_fps, name: len(fp_vars)})
-        args = _terms(sexp[4:]) or fp_vars
+        fp_vars = _terms(sexp[2], {})
+        inner = _bind(scope, fp_vars, depth)
+        body = _build(sexp[3], {**bound_fps, name: len(fp_vars)}, inner, depth + 1)
+        # the arguments, given or defaulted to the variables' names, are read outside
+        args = _terms(sexp[4:] or fp_vars, scope)
         if len(args) != len(fp_vars):
             raise UsageError(f"lfp {name} applied to {len(args)} terms, expected {len(fp_vars)}")
-        return Lfp(name, fp_vars, body, args)
+        return Lfp(name, tuple(inner[v] for v in fp_vars), body, args)
     if head in bound_fps:
-        args = _terms(sexp[1:])
+        args = _terms(sexp[1:], scope)
         if len(args) != bound_fps[head]:
             raise UsageError(f"fixpoint atom {head} has wrong arity")
         return FpAtom(head, args)
     # input relation atom
-    return Atom(head, _terms(sexp[1:]))
+    return Atom(head, _terms(sexp[1:], scope))
 
 
 def parse_formula(text: str, params: Optional[dict] = None) -> LfpFormula:
+    params = dict(params or {})
     tokens = _tokenize(text)
     sexp, pos = _read(tokens, 0)
     if pos != len(tokens):
         raise UsageError("trailing tokens after formula")
-    root = _build(sexp, {})
+    root = _build(sexp, {}, {name: name for name in params}, 0)
     # two different binders may not share a name: the compiler maps a name to one binder
     binders: dict = {}
     for i, node in enumerate(_subformulas(root)[0]):
         if isinstance(node, Lfp) and binders.setdefault(node.fp, i) != i:
             raise UsageError(f"fixpoint name {node.fp} bound twice")
-    return LfpFormula(root, dict(params or {}))
-
-
-def free_vars(node) -> frozenset:
-    if isinstance(node, Atom):
-        return frozenset(node.args)
-    if isinstance(node, Eq):
-        return frozenset((node.left, node.right))
-    if isinstance(node, FpAtom):
-        return frozenset(node.args)
-    if isinstance(node, (And, Or)):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, (Exists, Forall)):
-        return free_vars(node.body) - {node.var}
-    if isinstance(node, Lfp):
-        return (free_vars(node.body) - set(node.vars)) | frozenset(node.args)
-    raise UsageError(f"unknown node {node!r}")
+    return LfpFormula(root, params)
 
 
 def _children(node) -> tuple:
@@ -272,21 +280,53 @@ def _subformulas(root):
     return subs, kids
 
 
+def _dependencies(subs: list, kids: list) -> list:
+    """Per subformula id, the sorted variables its truth depends on: its
+    free variables and, below a fixpoint atom, the outer variables of the
+    atom's binder, those the binder's body depends on but does not bind.
+    An atom need not name them; the parser's renaming keeps them unshadowed
+    down to it.  An atom inside a nested binder hands them on to that
+    binder, so the table is iterated to a fixpoint."""
+    outer = {node.fp: frozenset() for node in subs if isinstance(node, Lfp)}
+    while True:
+        deps: list = []
+        for node, kid in zip(subs, kids):
+            below = frozenset().union(*(deps[j] for j in kid))
+            if isinstance(node, Atom):
+                deps.append(frozenset(node.args))
+            elif isinstance(node, Eq):
+                deps.append(frozenset((node.left, node.right)))
+            elif isinstance(node, FpAtom):
+                deps.append(frozenset(node.args) | outer[node.fp])
+            elif isinstance(node, (Exists, Forall)):
+                deps.append(below - {node.var})
+            elif isinstance(node, Lfp):
+                deps.append(below - set(node.vars) | frozenset(node.args))
+            else:  # and, or
+                deps.append(below)
+        found = {node.fp: deps[kid[0]] - set(node.vars)
+                 for node, kid in zip(subs, kids) if isinstance(node, Lfp)}
+        if found == outer:
+            return [tuple(sorted(d)) for d in deps]
+        outer = found
+
+
 def _check(a: RelStructure, phi: LfpFormula):
     """Check phi's free variables against its parameters, so that every term
     is bound in an env that starts as phi.params, and its atoms against a's
-    vocabulary; return phi's _subformulas."""
-    unresolved = free_vars(phi.root) - set(phi.params)
+    vocabulary; return phi's _subformulas and their _dependencies."""
+    subs, kids = _subformulas(phi.root)
+    deps = _dependencies(subs, kids)
+    unresolved = set(deps[-1]) - set(phi.params)
     if unresolved:
         raise UsageError(f"free variables {sorted(unresolved)} not bound by parameters")
-    subs, kids = _subformulas(phi.root)
     for node in subs:
         if isinstance(node, Atom):
             if node.rel not in a.relations:
                 raise UsageError(f"relation {node.rel} not in structure vocabulary")
             if a.relations[node.rel][0] != len(node.args):
                 raise UsageError(f"atom {node.rel} has wrong arity")
-    return subs, kids
+    return subs, kids, deps
 
 
 def eval_poslfp(a: RelStructure, phi: LfpFormula) -> bool:
@@ -334,9 +374,8 @@ def eval_poslfp(a: RelStructure, phi: LfpFormula) -> bool:
 
 class HornEncoding(NamedTuple):
     cnf: CnfFormula
-    # key -> variable id; a key is (subformula id, values of its sorted free
-    # variables), or for a fixpoint atom (fixpoint name, argument values,
-    # values of its binder's outer variables)
+    # key -> variable id; a key is (subformula id, values of the sorted
+    # variables it depends on)
     var_map: dict
 
 
@@ -349,26 +388,17 @@ def horn_encode(a: RelStructure, phi: LfpFormula) -> HornEncoding:
     """
     # a subformula's id is its index in subs; equal subformulas share an id,
     # and so a variable per instantiation
-    subs, kids = _check(a, phi)
+    subs, kids, deps = _check(a, phi)
     universe = range(a.universe_size)
-    fvs = [tuple(sorted(free_vars(node))) for node in subs]  # per id, computed once
-    # fixpoint name -> (its variables, body id, outer variables): the values
-    # of variables bound outside a binder are part of its atoms' instantiations
-    binders = {node.fp: (node.vars, kids[i][0],
-                         tuple(v for v in fvs[kids[i][0]] if v not in node.vars))
-               for i, node in enumerate(subs) if isinstance(node, Lfp)}
+    binders = {node.fp: (node.vars, kids[i][0]) for i, node in enumerate(subs)
+               if isinstance(node, Lfp)}  # fixpoint name -> (its variables, body id)
 
     var_map: dict = {}
     todo: list = []  # (id, env, x) whose defining clauses are not written yet
     clauses: list = []
 
     def var_of(i: int, env) -> int:
-        node = subs[i]
-        if isinstance(node, FpAtom):
-            key = (node.fp, tuple(env[t] for t in node.args),
-                   tuple(env[v] for v in binders[node.fp][2]))
-        else:
-            key = (i, tuple(env[v] for v in fvs[i]))
+        key = (i, tuple(env[v] for v in deps[i]))
         x = var_map.get(key)
         if x is None:
             x = var_map[key] = len(var_map) + 1
@@ -402,7 +432,7 @@ def horn_encode(a: RelStructure, phi: LfpFormula) -> HornEncoding:
             (body,) = kids[i]
             clauses.append([-var_of(body, {**env, node.var: e}) for e in universe] + [x])
         else:  # an lfp node or a fixpoint atom: its binder's body at its arguments
-            fp_vars, body, _ = binders[node.fp]
+            fp_vars, body = binders[node.fp]
             vals = tuple(env[t] for t in node.args)
             clauses.append([-var_of(body, {**env, **dict(zip(fp_vars, vals))}), x])
     clauses.append([-top])

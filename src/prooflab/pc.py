@@ -199,7 +199,7 @@ class Basis:
         c = Basis(self.field, self.k, self.num_vars)
         c._nbr = self._nbr
         c._quotient_size = self._quotient_size
-        c.vectors = {lead: dict(v) for lead, v in self.vectors.items()}
+        c.vectors = dict(self.vectors)  # rows are replaced, never changed in place
         c.lifted = set(self.lifted)
         return c
 
@@ -391,11 +391,7 @@ class Basis:
 
     def span_monomial(self, m: Monomial) -> bool:
         """Is the single monomial m in the span?"""
-        if self.in_quotient(m):
-            return True
-        if m not in self.vectors:
-            return False  # its own lead would have to carry the reduction
-        return not self._reduce({m: 1}, depth=_TAIL_DEPTH)  # read-only, as in contains
+        return self.contains({m: 1})
 
 
 class SaturationResult(NamedTuple):

@@ -2,6 +2,9 @@
 
 dim-tuple refinement with a shared color palette across the two input
 graphs; `dim` counts tuple arity, so dim-1 is classic color refinement.
+A tuple's first color is its atomic type. Between rounds each graph keeps
+its n^dim colors and one n x n pair-code table, which the rounds read at
+dim 1 only.
 The correspondence with counting logic carries the usual offset of one
 variable; the experiment harness calibrates that constant empirically
 instead of hard-coding it.
@@ -16,10 +19,6 @@ from typing import Optional
 from .errors import UsageError, malformed_input
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class ColoredGraph:
     n: int
@@ -27,19 +26,19 @@ class ColoredGraph:
     relations: dict        # name -> frozenset of ordered pairs
 
     def __init__(self, n: int, colors=None, relations=None):
-        if not _is_int(n) or n < 0:
+        if type(n) is not int or n < 0:
             raise UsageError(f"vertex count must be a non-negative integer, got {n!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "colors", tuple(colors) if colors is not None else (0,) * n)
         if len(self.colors) != n:
             raise UsageError("colors must assign every vertex")
-        if not all(map(_is_int, self.colors)):
+        if any(type(c) is not int for c in self.colors):
             raise UsageError("colors must be integers")
         rels = {}
         for name, pairs in (relations or {}).items():
             pairs = frozenset(tuple(p) for p in pairs)
             for (u, v) in pairs:
-                if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
+                if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
                     raise UsageError(f"relation {name} mentions a vertex that is not "
                                      f"an integer in range(0, {n})")
             rels[name] = pairs
@@ -85,13 +84,21 @@ def wl_distinguishes(g: ColoredGraph, h: ColoredGraph, dim: int = 1) -> bool:
     """Joint dim-tuple color refinement; True iff the stable histograms differ.
 
     Tuples of each graph are refined in lockstep against a shared palette:
-    a tuple's signature combines its color with the multiset, over all
-    vertices w of its own graph, of the extension pattern of w against the
-    tuple and the colors of the tuples with w substituted at each position.
-    Tuple i is the i-th tuple of product(range(n), repeat=dim), so the
-    tuples with w substituted at position j are a strided slice of the
-    color list. Extension patterns never change across rounds, so they are
-    interned once and rounds are integer table work.
+    a tuple's signature is its color and the multiset, over all vertices w
+    of its own graph, of the colors of the tuples with w substituted at
+    each position. Tuple i is the i-th tuple of product(range(n),
+    repeat=dim), so the tuples with w substituted at position j are a
+    strided slice of the color list.
+
+    The textbook signature also counts, per w, the pattern of w against
+    the tuple: code[t_i][w] and code[w][t_i] for each position i. For
+    dim >= 2 the substituted colors already hold it. Take j != i: the
+    atomic type of t[w/j] records code[t_i][w] and code[w][t_i], and when
+    w = t_i that includes w's loop bits. Every coloring refines the atomic
+    types under the shared palette, so the pattern is a function of the
+    substituted colors, and both signatures split both graphs' tuples the
+    same way in every round: the same verdicts after as many rounds. For
+    dim = 1 the substituted color is w's own, so the pattern is added.
     """
     if dim < 1:
         raise UsageError("dimension must be >= 1")
@@ -101,36 +108,28 @@ def wl_distinguishes(g: ColoredGraph, h: ColoredGraph, dim: int = 1) -> bool:
     names = sorted(set(g.relations) | set(h.relations))
     strides = [n ** (dim - 1 - j) for j in range(dim)]
     offdiag = [(a, b) for a in range(dim) for b in range(dim) if a != b]
-    ext_ids: dict = {}
 
     def atoms(x: ColoredGraph, code: list) -> list:
         return [tuple(x.colors[v] for v in t) + tuple(code[t[a]][t[b]] for a, b in offdiag)
                 for t in product(range(n), repeat=dim)]
 
-    def extensions(code: list) -> list:
-        """Per tuple, the interned pattern (code[u][w], code[w][u] for u in t) of each w."""
-        cols = list(zip(*code))
-        return [tuple(ext_ids.setdefault(p, len(ext_ids))
-                      for p in zip(*[r for u in t for r in (code[u], cols[u])]))
-                for t in product(range(n), repeat=dim)]
-
-    def signatures(col: list, ext: list, multisets: dict) -> list:
+    def signatures(col: list, code: list, multisets: dict) -> list:
         """(own color, id of the multiset around the tuple) per tuple; the
         ids come from `multisets`, which both graphs share in a round."""
-        sigs = []
-        for i, (t, row) in enumerate(zip(product(range(n), repeat=dim), ext)):
-            subs = (col[i - v * s:i + (n - v) * s:s] for v, s in zip(t, strides))
-            key = tuple(sorted(zip(row, *subs)))
-            sigs.append((col[i], multisets.setdefault(key, len(multisets))))
-        return sigs
+        if dim == 1:  # w's own color says nothing about u and w: add their pair codes
+            keys = (zip(row, column, col) for row, column in zip(code, zip(*code)))
+        else:
+            keys = (zip(*(col[i - v * s:i + (n - v) * s:s] for v, s in zip(t, strides)))
+                    for i, t in enumerate(product(range(n), repeat=dim)))
+        return [(c, multisets.setdefault(tuple(sorted(key)), len(multisets)))
+                for c, key in zip(col, keys)]
 
     code_g, code_h = _pair_codes(g, names), _pair_codes(h, names)
-    ext_g, ext_h = extensions(code_g), extensions(code_h)
     col_g, col_h, count = _recolor(atoms(g, code_g), atoms(h, code_h))
     while sorted(col_g) == sorted(col_h):
         multisets: dict = {}
-        col_g, col_h, new = _recolor(signatures(col_g, ext_g, multisets),
-                                     signatures(col_h, ext_h, multisets))
+        col_g, col_h, new = _recolor(signatures(col_g, code_g, multisets),
+                                     signatures(col_h, code_h, multisets))
         if new == count:
             # a signature holds the tuple's own color, so refinement only
             # splits classes; an unchanged count means nothing split and the

@@ -8,7 +8,7 @@ from itertools import permutations, product
 import pytest
 
 from prooflab.logic import (And, Atom, Eq, Exists, Forall, FpAtom, Lfp,
-                            LfpFormula, Or, RelStructure, free_vars)
+                            LfpFormula, Or, RelStructure)
 from prooflab.resolution import CnfFormula
 from prooflab.wl import ColoredGraph
 
@@ -158,7 +158,6 @@ def stage_table_eval(a: RelStructure, phi: LfpFormula) -> bool:
             return all(point(node.body, {**env, node.var: e}, fps) for e in universe)
         if isinstance(node, Lfp):
             table: set = set()
-            outer = sorted(free_vars(node.body) - set(node.vars))
             while True:
                 nxt = set(table)
                 for tup in product(universe, repeat=len(node.vars)):

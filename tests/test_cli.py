@@ -289,6 +289,38 @@ MALFORMED = [
                        ("lfp-list-var", "(lfp R ((x)) (R x) y)"),
                        ("list-head", "(exists x ((E) x x))")]
     for action in ("eval", "encode")
+] + [
+    # a directory, and a file that is not UTF-8 (it opens with a UTF-16 byte-order mark)
+    ("res-directory", {}, ["res", "kres", "."]),
+    ("res-not-utf8", {"f.cnf": b"\xff\xfe p cnf 1 1\n1 0\n"}, ["res", "kres", "f.cnf"]),
+] + [
+    # a count, an arity and an element are ints: not floats, strings or bools
+    (f"lfp-structure-{name}", {"s.json": json.dumps(structure), "phi.lfp": "(exists x (P x))"},
+     ["lfp", "eval", "--structure", "s.json", "--formula", "phi.lfp"])
+    for name, structure in [
+        ("n-float", {"n": 2.7, "relations": {"P": {"arity": 1, "tuples": [[1]]}}}),
+        ("n-str", {"n": "3", "relations": {"P": {"arity": 1, "tuples": [[1]]}}}),
+        ("arity-float", {"n": 2, "relations": {"P": {"arity": 1.0, "tuples": [[1]]}}}),
+        ("element-float", {"n": 2, "relations": {"P": {"arity": 1, "tuples": [[1.5]]}}}),
+        ("element-bool", {"n": 2, "relations": {"P": {"arity": 1, "tuples": [[True]]}}}),
+    ]
+] + [
+    (f"game-{name}", {"game.json": json.dumps(game)}, ["game", "solve", "game.json"])
+    for name, game in [
+        ("n-float", {"n": 2.9, "edges": [[0, 1]], "theta": [1, 0]}),
+        ("start-bool", {"n": 2, "edges": [[0, 1]], "theta": [1, 0], "start": False}),
+        ("theta-float", {"n": 2, "edges": [[0, 1]], "theta": [0.5, 0]}),
+    ]
+] + [
+    # nested past the recursion limit: of json at 100,000 levels, of the
+    # formula parser at 1,200, of eval_poslfp at 400
+    ("pc-json-nested", {"sys.json": "[" * 100000 + "]" * 100000}, ["pc", "sys.json"]),
+] + [
+    (f"lfp-{action}-nested-{depth}",
+     {"s.json": json.dumps({"n": 2, "relations": {"P": {"arity": 1, "tuples": [[1]]}}}),
+      "phi.lfp": "(exists x " * depth + "(P x)" + ")" * depth},
+     ["lfp", action, "--structure", "s.json", "--formula", "phi.lfp"])
+    for action, depth in [("eval", 400), ("eval", 1200), ("encode", 1200)]
 ]
 
 
@@ -296,7 +328,10 @@ MALFORMED = [
                          ids=[case[0] for case in MALFORMED])
 def test_malformed_input_exits_2(tmp_path, files, argv):
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     proc = run_module(tmp_path, argv, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "usage error:" in proc.stderr

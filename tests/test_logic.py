@@ -124,6 +124,56 @@ def test_random_corpus_eval_encode_stage_tables_agree():
     assert efp0_count >= 20
 
 
+def shadowing_lfp(rng: random.Random) -> str:
+    """A reachability-style fixpoint R(u) whose body reads x or s, bound
+    outside it, and whose recursive atom may sit under binders that rebind
+    x, s, u or each other; s and t are parameters, and x is one too unless
+    a forall binds it."""
+    names = ["x", "s", "u", "y"]
+
+    def atom(terms):
+        v, w = rng.choice(terms), rng.choice(terms)
+        return rng.choice([f"(P {v})", f"(E {v} {w})", f"(= {v} {w})", f"(not (E {v} {w}))"])
+
+    v = rng.choice(names)
+    step = f"({rng.choice(['exists', 'forall'])} {v} (and (R {v}) {atom([v, 'u', 'x'])}))"
+    if rng.random() < 0.5:
+        step = f"(exists {rng.choice(names)} {step})"
+    outer = rng.choice(["x", "s"])
+    body = f"(or {rng.choice([f'(= u {outer})', atom(['u', outer])])} {step})"
+    lfp = f"(lfp R (u) {body} {rng.choice(['t', 'x', 's'])})"
+    return rng.choice([lfp, f"(forall x {lfp})"])
+
+
+@pytest.mark.parametrize("text,params", [
+    # (R s) sits under a rebinding of the parameter s, which R's body also
+    # reads outside it: read at the rebound s = 1, (= x s) puts 1 in R and
+    # the edge (1, 2) then puts t = 2 in it
+    ("(lfp R (x) (or (= x s) (exists s (and (R s) (E s x)))) t)", {"s": 0, "t": 2}),
+    # (exists y ...) names no z, but its (R y) depends on the z that R's
+    # body reads, and so does S through its body: with one variable for
+    # every z, R(1) at z = 2 made R hold everywhere at z = 0
+    ("(forall z (lfp R (u) (or (E u z) (exists y (and (R y) (P y)))) z))", {}),
+    ("(forall z (lfp R (u) (or (E u z) (exists y (lfp S (v) (or (R v) (S v)) y))) z))", {})],
+    ids=["rebound-parameter", "unnamed-outer-variable", "nested-binder"])
+def test_horn_encode_keeps_the_outer_variables_of_a_fixpoint_atom(text, params):
+    a = RelStructure(3, {"P": (1, frozenset({(0,), (1,)})), "E": (2, frozenset({(1, 2)}))})
+    phi = parse_formula(text, params)
+    assert not stage_table_eval(a, phi) and not eval_poslfp(a, phi)
+    assert not horn_refute(horn_encode(a, phi).cnf).refuted
+
+
+def test_horn_encode_agrees_with_stage_tables_under_shadowing_binders():
+    rng = random.Random(13)
+    for _ in range(150):
+        a = random_structure(rng, max_n=4)
+        params = {name: rng.randrange(a.universe_size) for name in "stx"}
+        phi = parse_formula(shadowing_lfp(rng), params)
+        want = stage_table_eval(a, phi)
+        assert eval_poslfp(a, phi) == want
+        assert horn_refute(horn_encode(a, phi).cnf).refuted == want
+
+
 def test_horn_encode_deep_lfp_stages():
     """On a path the reachability stages are as deep as the path is long.
     A compiler that recursed once per instantiated subformula ran out of

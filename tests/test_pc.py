@@ -261,6 +261,25 @@ def test_monpc_extend_matches_cold_start():
             assert warm.basis.contains(dict(vec))
 
 
+def test_monpc_extend_leaves_its_base_as_it_was():
+    # an extension shares the base's rows, which both only ever replace:
+    # extending one base twice must find it as it was before
+    rng = random.Random(27)
+    shared = 0
+    for field in (Q, Field(3)):
+        for _ in range(10):
+            base = monpc_saturate(random_system(rng, num_vars=5, n_axioms=2, field=field), 3,
+                                  full_closure=True).basis
+            rows = {lead: dict(row) for lead, row in base.vectors.items()}
+            lifted = set(base.lifted)
+            for _ in range(2):
+                extra = random_system(rng, num_vars=5, n_axioms=2, field=field).axioms
+                warm = monpc_extend(base, extra, full_closure=True).basis
+                assert base.vectors == rows and base.lifted == lifted
+                shared += sum(warm.vectors.get(lead) is row for lead, row in base.vectors.items())
+    assert shared  # not copied row by row
+
+
 def test_monpc_extend_rejects_bad_axioms():
     # base closures over variables 1..3 at k = 2, with a quotient ({X1 X2}) and without
     for base_axioms in ([P([((1, 2), 1)])], [P([((1,), 1), ((2,), 1)])]):
