@@ -47,8 +47,7 @@ def _read_json(path: str):
 def _emit(obj, out: str | None = None) -> None:
     text = json.dumps(obj, indent=1, default=str) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        experiments.write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -376,7 +375,7 @@ def cli_main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (UsageError, FileNotFoundError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

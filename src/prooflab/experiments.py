@@ -281,12 +281,19 @@ def rows_to_csv(rows: list) -> str:
     return buf.getvalue()
 
 
+def write_text(path: str, text: str) -> None:
+    """Write text to path; a path that cannot be written is a UsageError
+    naming it."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def write_report(rows: list, csv_path: Optional[str] = None,
                  json_path: Optional[str] = None):
     if csv_path:
-        with open(csv_path, "w") as fh:
-            fh.write(rows_to_csv(rows))
+        write_text(csv_path, rows_to_csv(rows))
     if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(rows, fh, indent=1)
-            fh.write("\n")
+        write_text(json_path, json.dumps(rows, indent=1) + "\n")

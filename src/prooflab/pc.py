@@ -14,9 +14,10 @@ from __future__ import annotations
 import bisect
 import json
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, gcd, lcm
 from typing import Iterable, NamedTuple, Optional
 
@@ -154,6 +155,42 @@ def _int_rows(terms: dict) -> dict:
     return _primitive({m: int(c * den) for m, c in terms.items()})
 
 
+def _terms(row: tuple):
+    """The (monomial, coefficient) pairs of a stored row, lead first."""
+    it = iter(row)
+    return zip(it, it)
+
+
+def _row(lead: Monomial, vec: dict) -> tuple:
+    """The stored form of a row: (lead, c_lead, m2, c2, ...); vec is consumed."""
+    row = [lead, vec.pop(lead)]
+    for term in vec.items():
+        row += term
+    return tuple(row)
+
+
+class _RowView(Mapping):
+    """Read-only view of a basis's rows: lead -> {monomial: coefficient},
+    a fresh dict on each read."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: dict):
+        self._rows = rows
+
+    def __getitem__(self, lead):
+        return dict(_terms(self._rows[lead]))
+
+    def __contains__(self, lead):
+        return lead in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+
 class Basis:
     """Echelon basis of a space of multilinear polynomials.
 
@@ -164,12 +201,19 @@ class Basis:
     inserted and again, lazily, when the row is next used for an
     elimination after a monomial of its tail has come to lead a row.
 
+    Each row is stored in ``_rows`` as one flat tuple (lead, c_lead, m2,
+    c2, ...), keyed by its lead, whose object is also element 0.  Nearly
+    all rows have one to five terms, and a dict per row took the peak RSS
+    of the K4 k = 4 closure from 944 MB to 1,408 MB.  Rows are replaced,
+    never changed in place, so copies share them.  ``vectors`` is a
+    read-only view that gives each row as a dict.
+
     A basis may carry a monomial quotient: a set of generator monomials
     of one or two variables whose every multiple of degree <= k is known
     to lie in the span (the lifts of single-term axioms).  Those multiples
     form a coordinate subspace M, and the span is M plus the span of the
     rows, which never mention a monomial of M: terms in M are dropped
-    before elimination.  ``vectors`` holds only the rows; ``dimension``
+    before elimination.  The rows do not include M; ``dimension``
     counts M as well.  The quotient is one bit table, ``_nbr``.
     """
 
@@ -177,7 +221,7 @@ class Basis:
         self.field = field
         self.k = k
         self.num_vars = num_vars
-        self.vectors: dict = {}   # lead monomial -> {monomial: int coefficient}
+        self._rows: dict = {}     # lead monomial -> (lead, c_lead, m2, c2, ...)
         self.lifted: set = set()  # leads whose variable lifts were emitted
         gens = {tuple(sorted(set(m))) for m in quotient}
         gens.discard(())  # a constant generator would be a refutation, not a quotient
@@ -199,9 +243,14 @@ class Basis:
         c = Basis(self.field, self.k, self.num_vars)
         c._nbr = self._nbr
         c._quotient_size = self._quotient_size
-        c.vectors = dict(self.vectors)  # rows are replaced, never changed in place
+        c._rows = dict(self._rows)  # rows are replaced, never changed in place
         c.lifted = set(self.lifted)
         return c
+
+    @property
+    def vectors(self) -> Mapping:
+        """The rows, lead -> {monomial: coefficient}, as a read-only view."""
+        return _RowView(self._rows)
 
     def in_quotient(self, m: Monomial) -> bool:
         """Is m a multiple of a quotient generator?"""
@@ -267,13 +316,13 @@ class Basis:
         stopped early."""
         if self.refuted:
             return sum(comb(self.num_vars, d) for d in range(self.k + 1))
-        return len(self.vectors) + self.quotient_size()
+        return len(self._rows) + self.quotient_size()
 
     @property
     def refuted(self) -> bool:
         # a nonzero constant is in the span iff the constant monomial leads
         # a row (it is the minimum of the order, so nothing reduces to it)
-        return () in self.vectors
+        return () in self._rows
 
     def polynomials(self) -> list:
         """The rows, then every quotient monomial, as monic polynomials."""
@@ -317,21 +366,25 @@ class Basis:
         taken in any order.  The remainder does not depend on that order:
         it is the part of vec on the monomials that lead no row.
         """
-        vectors = self.vectors
-        todo = [m for m in vec if m in vectors and m != skip]
+        rows = self._rows
+        todo = [m for m in vec if m in rows and m != skip]
         p = self.field.p
         while todo:
             m = todo.pop()
-            if m not in vec:
+            a = vec.pop(m, None)  # the lead cancels exactly
+            if a is None:
                 continue  # cancelled by an earlier elimination
-            row = vectors[m]
+            row = rows[m]
+            if len(row) == 2:
+                continue  # a monomial row drops its lead and nothing else
             if depth < _TAIL_DEPTH:
-                for t in row:
-                    if t in vectors and t != m:
-                        row = vectors[m] = self._reduce(dict(row), m, depth + 1)
+                for t in row[2::2]:
+                    if t in rows:
+                        lead = row[0]  # the key's own object, not an equal copy
+                        row = rows[m] = _row(lead, self._reduce(dict(_terms(row)), lead, depth + 1))
                         break
             # over F_p every row is monic, so only this first case arises
-            a, b = vec[m], row[m]
+            b = row[1]
             if b == 1:
                 beta = a
             else:
@@ -340,12 +393,13 @@ class Basis:
                 if alpha != 1:
                     for t in vec:
                         vec[t] *= alpha
-            for t, c in row.items():
+            tail = islice(row, 2, None)
+            for t, c in zip(tail, tail):
                 s = vec.get(t)
                 if s is None:
                     s = -beta * c  # nonzero, as beta and c are and p is prime
                     vec[t] = s if p is None else s % p
-                    if t in vectors:
+                    if t in rows:
                         todo.append(t)  # only from a row past _TAIL_DEPTH
                 else:
                     s -= beta * c
@@ -386,7 +440,7 @@ class Basis:
             if inv != 1:
                 p = self.field.p
                 vec = {m: (c * inv) % p for m, c in vec.items()}
-        self.vectors[lead] = vec
+        self._rows[lead] = _row(lead, vec)
         return True
 
     def span_monomial(self, m: Monomial) -> bool:

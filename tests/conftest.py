@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
+import prooflab
 from prooflab.logic import (And, Atom, Eq, Exists, Forall, FpAtom, Lfp,
                             LfpFormula, Or, RelStructure)
 from prooflab.resolution import CnfFormula
 from prooflab.wl import ColoredGraph
+
+
+def child_env() -> dict:
+    """The environment for a fresh interpreter that imports the prooflab
+    this test session imports."""
+    src = str(Path(prooflab.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def sat_oracle(f: CnfFormula) -> bool:

@@ -4,13 +4,15 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as they
 complete.  Criteria with stated time budgets assert them.
 """
 
+import json
 import random
+import subprocess
+import sys
 import time
 from itertools import product
 
-from conftest import (brute_graph_iso, poly_system_has_boolean_zero, random_cnf,
-                      random_horn_cnf, random_poslfp, random_structure, sat_oracle,
-                      stage_table_eval)
+from conftest import (child_env, poly_system_has_boolean_zero, random_cnf, random_horn_cnf,
+                      random_poslfp, random_structure, sat_oracle, stage_table_eval)
 from prooflab.algebra import (Matrix, RATIONALS, Vector, compress_image,
                               gauss_solve, gram_solvable, kernel_generators)
 from prooflab.cfi import K4, automorphism_space, build_cfi, cfi_isomorphic
@@ -188,8 +190,8 @@ def test_criterion_7_wl_degree_calibration():
         assert min_refutation_degree(system, "monpc", 4) - wl_sweep(g, h, 3) == offsets[name]
 
     # CFI/K4 twisted pair: wl dimension computes exactly; the matching degree
-    # wl + c = 4 needs a 6.4e6-dimension closure (it refutes in about a
-    # minute at 1.6 GB), which test_cfi_k4_degree_is_four below runs, so
+    # wl + c = 4 needs a 6.4e6-dimension closure (it refutes in under a
+    # minute at about 0.95 GB), which test_cfi_k4_degree_is_four below runs, so
     # here the criterion is verified one-sidedly: no refutation at wl + c - 1
     (name, ga, gb, _) = pairs[-1]
     assert name == "cfi_k4_twisted"
@@ -203,18 +205,36 @@ def test_criterion_7_wl_degree_calibration():
            f"c = {c} uniform over {len(offsets)} computed pairs; {cfi_detail}")
 
 
+# prints the two verdicts and the child's own peak RSS (ru_maxrss is in kB on Linux)
+_K4_DEGREE_CHILD = """
+import json, resource
+from prooflab.cfi import K4, to_graph, twisted_pair
+from prooflab.encoders import encode_iso_poly_colored
+from prooflab.pc import monpc_saturate
+a, b = twisted_pair(K4, 2)
+system = encode_iso_poly_colored(to_graph(a), to_graph(b))
+verdicts = {k: monpc_saturate(system, k).refuted for k in (3, 4)}
+print(json.dumps({"refuted_3": verdicts[3], "refuted_4": verdicts[4],
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
 def test_cfi_k4_degree_is_four():
     # completes the criterion-7 equality for the CFI/K4 pair: the minimal
     # monomial-PC degree of the colored twisted-pair system is exactly 4.
-    # The degree-4 closure takes about a minute at 1.6 GB peak RSS on 2 cores.
-    from prooflab.cfi import twisted_pair, to_graph
-    a, b = twisted_pair(K4, 2)
-    system = encode_iso_poly_colored(to_graph(a), to_graph(b))
+    # The degree-4 closure takes under a minute at about 0.95 GB peak RSS
+    # on 2 cores.  It runs in a fresh interpreter, so that the peak it
+    # reports is its own and not the test session's.
     t0 = time.time()
-    assert not monpc_saturate(system, 3).refuted
-    assert monpc_saturate(system, 4).refuted
+    proc = subprocess.run([sys.executable, "-c", _K4_DEGREE_CHILD], env=child_env(),
+                          capture_output=True, text=True, timeout=600)
     elapsed = time.time() - t0
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout.splitlines()[-1])
+    assert not child["refuted_3"], "refuted at degree 3"
+    assert child["refuted_4"], "not refuted at degree 4"
     assert elapsed < 300.0, f"degree-3 and degree-4 closures took {elapsed:.0f}s of 300s"
+    assert child["peak_rss_mb"] < 1024, f"peak RSS {child['peak_rss_mb']:.0f} MB, over 1 GB"
 
 
 def test_criterion_8_cfi_isomorphism_classes():

@@ -1,12 +1,10 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import prooflab
+from conftest import child_env
 from prooflab import experiments
 from prooflab.cli import cli_main
 from prooflab.encoders import clique_structure, cycle_structure, encode_kconsistency_cnf
@@ -22,11 +20,8 @@ def run(capsys, *argv):
 def run_module(cwd, argv, timeout):
     """Run `python -m prooflab.cli` in a subprocess, so that a traceback or
     a hang shows up as what a shell user would see."""
-    src = str(Path(prooflab.__file__).resolve().parent.parent)
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, "-m", "prooflab.cli", *argv], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=timeout)
+                          env=child_env(), capture_output=True, text=True, timeout=timeout)
 
 
 def test_pc_refuted_exit_code(tmp_path, capsys):
@@ -389,6 +384,19 @@ def test_experiment_timeout_precedence(tmp_path, capsys, monkeypatch, config, fl
         flags = flags + ["--config", str(tmp_path / "exp.cfg")]
     code, _ = run(capsys, "experiment", "csp-sweep", *flags)
     assert code == 0 and seen == [want]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cfi", "gen", "--base", "k4", "--out"],
+    ["experiment", "csp-sweep", "--cycle-min", "3", "--cycle-max", "3", "--out-json"],
+], ids=["cfi-gen-out", "csp-sweep-out-json"])
+def test_unwritable_output_path_exits_2(tmp_path, argv):
+    out = tmp_path / "a-directory"
+    out.mkdir()
+    proc = run_module(tmp_path, argv + [str(out)], timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"usage error: cannot write {out}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_experiment_csp_sweep(tmp_path, capsys):

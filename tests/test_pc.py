@@ -262,8 +262,8 @@ def test_monpc_extend_matches_cold_start():
 
 
 def test_monpc_extend_leaves_its_base_as_it_was():
-    # an extension shares the base's rows, which both only ever replace:
-    # extending one base twice must find it as it was before
+    # an extension shares the base's stored rows, which both only ever
+    # replace: extending one base twice must find it as it was before
     rng = random.Random(27)
     shared = 0
     for field in (Q, Field(3)):
@@ -276,7 +276,7 @@ def test_monpc_extend_leaves_its_base_as_it_was():
                 extra = random_system(rng, num_vars=5, n_axioms=2, field=field).axioms
                 warm = monpc_extend(base, extra, full_closure=True).basis
                 assert base.vectors == rows and base.lifted == lifted
-                shared += sum(warm.vectors.get(lead) is row for lead, row in base.vectors.items())
+                shared += sum(warm._rows.get(lead) is row for lead, row in base._rows.items())
     assert shared  # not copied row by row
 
 
@@ -609,13 +609,16 @@ def test_monpc_extend_with_linear_extras_matches_cold_start():
 def test_monpc_k4_cfi_pair_at_degree_three():
     # the lead set of a span is fixed, so skipping the lifts that other
     # lifts span keeps the row count; these are the counts of the closure
-    # that lifted every axiom by every monomial
+    # that lifted every axiom by every monomial.  The stored term counts
+    # pin the rows as this engine keeps them, tails as far as reduced
     a, b = twisted_pair(K4, 2)
     ga, gb = to_graph(a), to_graph(b)
+    terms = {None: 318550, 3: 316185}  # over Q and over F_3
     for field in (Q, Field(3)):
         result = monpc_saturate(encode_iso_poly_colored(ga, gb, field), 3)
         assert not result.refuted
         assert len(result.basis.vectors) == 165848
+        assert sum(map(len, result.basis.vectors.values())) == terms[field.p]
         assert result.basis.dimension == 233560
 
 
