@@ -103,6 +103,8 @@ class Field:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
     def parse_scalar(self, s: str):
+        if type(s) is not str:
+            raise UsageError(f"a scalar is written as a string, got {s!r}")
         if self.p is not None:
             return int(s) % self.p
         return Fraction(s)

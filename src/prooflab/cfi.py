@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
+from .algebra import Field, Matrix, Vector, gauss_solve, is_prime
 from .errors import UsageError, malformed_input
 from .logic import RelStructure
+from .wl import ColoredGraph
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,6 @@ class CfiStructure:
 
 def build_cfi(base: CfiBase, p: int, lam) -> CfiStructure:
     """Materialise CFI[base; p; lam] with all four relations."""
-    from .algebra import is_prime
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
     lam = tuple(int(x) % p for x in lam)
@@ -162,7 +163,6 @@ def automorphism_space(base: CfiBase, p: int) -> AutSpace:
     Constraints: pi(e) + pi(e^-1) = 0 for every directed edge, and the
     pi-values of the edges leaving any vertex sum to 0.
     """
-    from .algebra import Field, Matrix, Vector, gauss_solve
     field = Field(p)
     edges = base.directed_edges()
     rows = []
@@ -274,7 +274,6 @@ def to_graph(s: CfiStructure):
     base vertex; the cycle and inverse relations come along as extra binary
     relations rather than as gadget paths.
     """
-    from .wl import ColoredGraph
     edges = s.edge_classes()
     rank = {e: i for i, e in enumerate(edges)}
     n_edge_elems = len(s.universe)

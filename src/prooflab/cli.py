@@ -379,7 +379,8 @@ def cli_main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # the formula parser, eval_poslfp and json recurse once per level
+        # json, the formula parser and eval_poslfp recurse once per level,
+        # so lfp eval and lfp encode reach the same depth
         print("usage error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 

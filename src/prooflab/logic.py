@@ -312,9 +312,15 @@ def _dependencies(subs: list, kids: list) -> list:
 
 
 def _check(a: RelStructure, phi: LfpFormula):
-    """Check phi's free variables against its parameters, so that every term
-    is bound in an env that starts as phi.params, and its atoms against a's
-    vocabulary; return phi's _subformulas and their _dependencies."""
+    """Check phi's parameters against a's universe, its free variables
+    against its parameters, so that every term is bound in an env that
+    starts as phi.params, and its atoms against a's vocabulary; return
+    phi's _subformulas and their _dependencies."""
+    bad = {name: e for name, e in phi.params.items()
+           if type(e) is not int or not 0 <= e < a.universe_size}
+    if bad:
+        raise UsageError(f"parameters {bad} are not elements of the "
+                         f"{a.universe_size}-element structure")
     subs, kids = _subformulas(phi.root)
     deps = _dependencies(subs, kids)
     unresolved = set(deps[-1]) - set(phi.params)
@@ -347,10 +353,13 @@ def eval_poslfp(a: RelStructure, phi: LfpFormula) -> bool:
             return ev(node.left, env, fps) and ev(node.right, env, fps)
         if isinstance(node, Or):
             return ev(node.left, env, fps) or ev(node.right, env, fps)
-        if isinstance(node, Exists):
-            return any(ev(node.body, {**env, node.var: e}, fps) for e in universe)
-        if isinstance(node, Forall):
-            return all(ev(node.body, {**env, node.var: e}, fps) for e in universe)
+        if isinstance(node, (Exists, Forall)):
+            # a plain loop, not any()/all(): one frame per quantifier level
+            witness = isinstance(node, Exists)  # the value that decides it
+            for e in universe:
+                if ev(node.body, {**env, node.var: e}, fps) == witness:
+                    return witness
+            return not witness
         if isinstance(node, Lfp):
             stage: set = set()
             arity = len(node.vars)

@@ -17,7 +17,7 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb, gcd, lcm
 from typing import Iterable, NamedTuple, Optional
 
@@ -65,10 +65,6 @@ class Polynomial:
             else:
                 acc[mono] = s
         self.terms = acc
-
-    @classmethod
-    def constant(cls, field: Field, c) -> "Polynomial":
-        return cls(field, [((), c)])
 
     @property
     def degree(self):
@@ -326,15 +322,10 @@ class Basis:
 
     def polynomials(self) -> list:
         """The rows, then every quotient monomial, as monic polynomials."""
-        out = []
-        for lead in sorted(self.vectors, key=mono_key, reverse=True):
-            v = self.vectors[lead]
-            if self.field.is_rational:
-                inv = Fraction(1, v[lead])
-                out.append(Polynomial(self.field, {m: c * inv for m, c in v.items()}))
-            else:
-                inv = self.field.inv(v[lead])
-                out.append(Polynomial(self.field, {m: self.field.mul(inv, c) for m, c in v.items()}))
+        f, out = self.field, []
+        for row in sorted(self._rows.values(), key=lambda r: mono_key(r[0]), reverse=True):
+            inv = Fraction(1, row[1]) if f.is_rational else f.inv(row[1])
+            out.append(Polynomial(f, {m: f.mul(inv, c) for m, c in _terms(row)}))
         if self._nbr:
             for d in range(1, self.k + 1):
                 for m in combinations(range(1, self.num_vars + 1), d):
@@ -486,29 +477,26 @@ def _degree(vec: dict):
     return max(map(len, vec), default=NEG_INF)
 
 
-def _lift_axioms(basis: Basis, axioms: list, stop_early: bool) -> bool:
-    """Bring into the span MultLin(m.p) for every axiom p and every lift
+def _lift_axioms(basis: Basis, axioms: list):
+    """Yield, normalized, MultLin(m.p) for every axiom p and every lift
     monomial m that is reachable one variable at a time without exceeding
-    the basis degree k.  Returns True if a refutation appeared and
-    stop_early was set."""
+    the basis degree k, for the caller to absorb."""
     f, k, num_vars = basis.field, basis.k, basis.num_vars
     # scaling by a nonzero constant keeps the span; over Q the lifts of the
     # integer row then need integer additions only.  The degree bound
     # applies to the whole lift, so quotient terms are dropped only from
-    # what is inserted.  An axiom whose terms all lie in the quotient has
+    # what is yielded.  An axiom whose terms all lie in the quotient has
     # every lift there too.
     roots = [basis._scale(dict(p.terms)) for p in axioms]
     if basis._nbr:
         roots = [root for root in roots if not all(map(basis.in_quotient, root))]
     linear = [root for root in roots if _degree(root) <= 1]
-    if linear and _lift_linear(basis, linear, stop_early):
-        return True
+    if linear:
+        yield from _lift_linear(basis, linear)
     for root in roots:
         if _degree(root) <= 1:
             continue
-        basis.insert(dict(root))
-        if stop_early and basis.refuted:
-            return True
+        yield basis._normalize(dict(root))
         seen = {()}
         queue = deque([((), root)])
         while queue:
@@ -529,17 +517,14 @@ def _lift_axioms(basis: Basis, axioms: list, stop_early: bool) -> bool:
                 if q and _degree(q) <= k:
                     # a lift that collapsed to zero, or into the quotient,
                     # stays there under further lifting, so only the
-                    # others are worth inserting and extending
+                    # others are worth yielding and extending
                     if basis._nbr and all(map(basis.in_quotient, q)):
                         continue
-                    basis.insert(dict(q))
-                    if stop_early and basis.refuted:
-                        return True
+                    yield basis._normalize(dict(q))
                     queue.append((m2, q))
-    return False
 
 
-def _lift_linear(basis: Basis, roots: list, stop_early: bool) -> bool:
+def _lift_linear(basis: Basis, roots: list):
     """_lift_axioms for the axioms of degree <= 1, without the search and
     without the lifts that other lifts already span.
 
@@ -592,8 +577,8 @@ def _lift_linear(basis: Basis, roots: list, stop_early: bool) -> bool:
                 own %= p
             if own:
                 vec[m] = own
-            if vec and basis._absorb(vec) and stop_early and basis.refuted:
-                return True
+            if vec:
+                yield vec
         if lead:
             earlier |= 1 << lead[0]
     for root in roots:
@@ -607,14 +592,12 @@ def _lift_linear(basis: Basis, roots: list, stop_early: bool) -> bool:
         for extra in combinations(others, k - len(support)):
             m = tuple(sorted(support + list(extra)))
             if not basis.in_quotient(m):
-                if basis._absorb({m: total}) and stop_early and basis.refuted:
-                    return True
-    return False
+                yield {m: total}
 
 
-def _monpc_rounds(basis: Basis, stop_early: bool) -> None:
-    """Lift every in-span monomial of degree < k by every variable until the
-    span is stable, or until a refutation appears if stop_early is set."""
+def _monpc_rounds(basis: Basis):
+    """Yield the lift by every variable of every in-span monomial of degree
+    < k, round after round, until the span is stable."""
     k, num_vars, lifted = basis.k, basis.num_vars, basis.lifted
     while True:
         # _reduce, unlike the read-only span_monomial, tail-reduces the rows the closure uses
@@ -634,15 +617,14 @@ def _monpc_rounds(basis: Basis, stop_early: bool) -> None:
                 # xm = y.m' for an m' lifted before: that product went in then
                 if any(y != x and xm[:i] + xm[i + 1:] in lifted for i, y in enumerate(xm)):
                     continue
-                if basis._absorb({xm: 1}) and stop_early and basis.refuted:
-                    return
+                yield {xm: 1}
 
 
-def _pc_rounds(basis: Basis, stop_early: bool) -> None:
-    """Lift by every variable each row whose lead has degree < k and that no
-    earlier round lifted, until no such row is left, or until a refutation
-    appears if stop_early is set.  The quotient terms of each product are
-    dropped before it is absorbed: they lie in the span already."""
+def _pc_rounds(basis: Basis):
+    """Yield the lift by every variable of each row whose lead has degree < k
+    and that no earlier round lifted, until no such row is left.  The
+    quotient terms of each product are dropped: they lie in the span
+    already."""
     f, k, num_vars = basis.field, basis.k, basis.num_vars
     in_quotient = basis.in_quotient if basis._nbr else None
     while True:
@@ -657,25 +639,28 @@ def _pc_rounds(basis: Basis, stop_early: bool) -> None:
                 vec = _mul_var(f, row, x)
                 if in_quotient:
                     vec = {m: c for m, c in vec.items() if not in_quotient(m)}
-                if basis._absorb(vec) and stop_early and basis.refuted:
-                    return
+                yield vec
 
 
 def _close(system: PolySystem, k: int, rounds, full_closure: bool,
            basis: Optional[Basis] = None) -> SaturationResult:
-    """Check the system, lift its axioms into the basis, then run the
-    engine's rounds on it.  A fresh basis takes as its quotient the
-    single-term axioms of one or two variables (for an isomorphism system,
-    the conflict monomials): in either engine their multiples of degree
-    <= k are all lifts.  Wider single-term axioms are lifted like the rest.
+    """Check the system, then absorb into the basis each vector that the
+    axiom lifts and then the engine's rounds yield, as soon as it is
+    yielded: a round reads the basis as the absorbs before it left it.
+    Unless full_closure is set, stop once the basis is refuted.  A fresh
+    basis takes as its quotient the single-term axioms of one or two
+    variables (for an isomorphism system, the conflict monomials): in
+    either engine their multiples of degree <= k are all lifts.  Wider
+    single-term axioms are lifted like the rest.
     """
     _check_system(system, k)
     if basis is None:
         quotient = [m for p in system.axioms if len(p.terms) == 1 for m in p.terms if len(m) <= 2]
         basis = Basis(system.field, k, system.num_vars, quotient)
-    stop = not full_closure
-    if not _lift_axioms(basis, system.axioms, stop):
-        rounds(basis, stop)
+    for vec in chain(_lift_axioms(basis, system.axioms), rounds(basis)):
+        basis._absorb(vec)
+        if not full_closure and basis.refuted:
+            break
     return SaturationResult(basis.refuted, basis)
 
 
@@ -772,7 +757,9 @@ def field_from_json(obj: dict) -> Field:
     if kind == "Q":
         return RATIONALS
     if kind == "Fp":
-        return Field(int(obj["p"]))
+        if type(obj["p"]) is not int:
+            raise UsageError(f"field \"p\" must be an int, got {obj['p']!r}")
+        return Field(obj["p"])
     raise UsageError(f"unknown field kind {kind!r}")
 
 

@@ -176,6 +176,23 @@ def test_lfp_eval_of_a_wide_conjunction(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_lfp_eval_reaches_the_depth_that_encode_reaches(tmp_path):
+    # a quantifier level costs eval one frame, so it reaches as deep as encode
+    depth = 900
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"n": 2, "relations": {"P": {"arity": 1, "tuples": [[1]]}}}))
+    (tmp_path / "phi.lfp").write_text("(exists x " * depth + "(P x)" + ")" * depth)
+    lfp = ["--structure", "s.json", "--formula", "phi.lfp"]
+    proc = run_module(tmp_path, ["lfp", "eval", *lfp], timeout=120)
+    assert proc.returncode == 10, proc.stderr
+    proc = run_module(tmp_path, ["lfp", "encode", *lfp], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (tmp_path / "phi.cnf").write_text(proc.stdout)
+    # the Horn CNF is unsatisfiable iff the structure satisfies the sentence
+    proc = run_module(tmp_path, ["res", "horn", "phi.cnf"], timeout=120)
+    assert proc.returncode == 10, proc.stderr
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli_main(["res", "horn", str(tmp_path / "missing.cnf")]) == 2
     assert cli_main(["nonsense"]) == 2
@@ -247,10 +264,37 @@ MALFORMED = [
     ("csp-no-n", {"a.json": json.dumps({"relations": {}}),
                   "t.json": json.dumps({"n": 2, "relations": {}})},
      ["csp", "check", "--instance", "a.json", "--template", "t.json"]),
+    ("pc-p-float", {"sys.json": json.dumps({"field": {"kind": "Fp", "p": 3.9}, "num_vars": 1,
+                                            "polys": [[{"coef": "1", "mono": [1]}]]})},
+     ["pc", "sys.json"]),
+    ("pc-p-str", {"sys.json": json.dumps({"field": {"kind": "Fp", "p": "3"}, "num_vars": 1,
+                                          "polys": [[{"coef": "1", "mono": [1]}]]})},
+     ["pc", "sys.json"]),
+] + [
+    # a coefficient is a decimal string, never a JSON number or bool
+    (f"pc-coef-{name}", {"sys.json": json.dumps({"field": field, "num_vars": 1,
+                                                 "polys": [[{"coef": coef, "mono": [1]}]]})},
+     ["pc", "sys.json"])
+    for name, field, coef in [("float-f3", {"kind": "Fp", "p": 3}, 2.7),
+                              ("float-q", {"kind": "Q"}, 0.1),
+                              ("int-q", {"kind": "Q"}, 1),
+                              ("bool-q", {"kind": "Q"}, True)]
+] + [
     ("game-no-edges", {"game.json": json.dumps({"n": 1, "theta": [0]})},
      ["game", "solve", "game.json"]),
     ("lfp-param-no-eq", {"s.json": json.dumps({"n": 1, "relations": {}}), "phi.lfp": "(= s s)"},
      ["lfp", "eval", "--structure", "s.json", "--formula", "phi.lfp", "--param", "s"]),
+] + [
+    # a parameter is an element of the structure
+    (f"lfp-{action}-param-{name}",
+     {"s.json": json.dumps({"n": 3, "relations": {"E": {"arity": 2, "tuples": [[0, 1]]}}}),
+      "phi.lfp": "(lfp R (x) (or (= x s) (exists y (and (R y) (E y x)))) t)"},
+     ["lfp", action, "--structure", "s.json", "--formula", "phi.lfp", *params])
+    for name, params in [("past-universe", ["--param", "s=7", "--param", "t=7"]),
+                         ("negative", ["--param", "s=-1", "--param", "t=0"]),
+                         ("one-past", ["--param", "s=0", "--param", "t=3"])]
+    for action in ("eval", "encode")
+] + [
     ("config-bad-timeout", {"exp.cfg": "timeout=abc\n"},
      ["experiment", "csp-sweep", "--cycle-min", "3", "--cycle-max", "3", "--config", "exp.cfg"]),
     ("config-unknown-key", {"exp.cfg": "k_max=1\n"},
@@ -308,14 +352,14 @@ MALFORMED = [
     ]
 ] + [
     # nested past the recursion limit: of json at 100,000 levels, of the
-    # formula parser at 1,200, of eval_poslfp at 400
+    # formula parser at 1,200
     ("pc-json-nested", {"sys.json": "[" * 100000 + "]" * 100000}, ["pc", "sys.json"]),
 ] + [
     (f"lfp-{action}-nested-{depth}",
      {"s.json": json.dumps({"n": 2, "relations": {"P": {"arity": 1, "tuples": [[1]]}}}),
       "phi.lfp": "(exists x " * depth + "(P x)" + ")" * depth},
      ["lfp", action, "--structure", "s.json", "--formula", "phi.lfp"])
-    for action, depth in [("eval", 400), ("eval", 1200), ("encode", 1200)]
+    for action, depth in [("eval", 1200), ("encode", 1200)]
 ]
 
 

@@ -11,7 +11,9 @@ from prooflab.encoders import (brute_force_homomorphism, clique_structure,
                                encode_nonreach, k_consistency)
 from prooflab.errors import UsageError
 from prooflab.logic import RelStructure, horn_encode, parse_formula
-from prooflab.pc import min_refutation_degree, monpc_saturate
+from prooflab.algebra import RATIONALS as Q
+from prooflab.pc import (Polynomial, PolySystem, min_refutation_degree, monpc_extend,
+                         monpc_saturate, pc_saturate)
 from prooflab.resolution import horn_refute, kres_refutes, kres_saturate
 from prooflab.wl import ColoredGraph, wl_sweep
 
@@ -217,11 +219,29 @@ def test_encoders_and_closures_leave_no_reference_cycles():
     c5, k2 = cycle_structure(5), clique_structure(2)
     # the 4-path against the 4-cycle: its conflict axioms are single terms
     system = encode_iso_poly(4, [(0, 1), (1, 2), (2, 3)], 4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    # closures that stop at a refutation leave their lift and round
+    # generators suspended: full PC refutes the path and the cycle within
+    # the axiom lifts, and X1 X2 + X3 + 1 = X3 = 0 only in its rounds;
+    # monpc_extend refutes the pair from the closure of its linear axioms
+    rounds_refute = PolySystem(Q, 3, [Polynomial(Q, {(1, 2): 1, (3,): 1, (): 1}),
+                                      Polynomial(Q, {(3,): 1})])
+    linear = monpc_saturate(PolySystem(system.field, system.num_vars,
+                                       [p for p in system.axioms if p.degree <= 1]), 2).basis
+    early_exits = {
+        "pc_saturate refuted in its lifts": lambda full: pc_saturate(system, 2, full),
+        "pc_saturate refuted in its rounds": lambda full: pc_saturate(rounds_refute, 2, full),
+        "monpc_extend refuted": lambda full: monpc_extend(linear, system.axioms, full),
+    }
+    for name, close in early_exits.items():
+        early, full = close(False).basis, close(True).basis
+        assert early.refuted, name
+        assert len(early._rows) + len(early.lifted) < len(full._rows) + len(full.lifted), name
     calls = {
         "horn_encode": lambda: horn_encode(path, reach),
         "k_consistency": lambda: k_consistency(c5, k2, 3),
         "encode_kconsistency_cnf": lambda: encode_kconsistency_cnf(c5, k2, 3),
         "monpc_saturate": lambda: monpc_saturate(system, 2).basis.quotient_size(),
+        **{name: (lambda close=close: close(False)) for name, close in early_exits.items()},
     }
     gc.disable()
     try:

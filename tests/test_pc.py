@@ -3,7 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -84,7 +84,7 @@ def test_pc_over_f2():
 
 
 def test_min_degree_of_constant_system():
-    assert min_refutation_degree(PolySystem(Q, 1, [Polynomial.constant(Q, 1)]), "monpc", 3) == 1
+    assert min_refutation_degree(PolySystem(Q, 1, [P([((), 1)])]), "monpc", 3) == 1
 
 
 def test_min_degree_ignores_axioms_above_the_bound():
@@ -278,6 +278,28 @@ def test_monpc_extend_leaves_its_base_as_it_was():
                 assert base.vectors == rows and base.lifted == lifted
                 shared += sum(warm._rows.get(lead) is row for lead, row in base._rows.items())
     assert shared  # not copied row by row
+
+
+def test_monpc_extend_of_a_refuted_early_exit_base():
+    # the base stopped at its refutation with rows left unlifted; its
+    # extension stops after at most one absorb, refuted, reports the whole
+    # space and leaves the base as it was
+    rng = random.Random(31)
+    whole = sum(comb(5, d) for d in range(4))
+    refuted = 0
+    for field in (Q, Field(3)):
+        for _ in range(20):
+            base = monpc_saturate(random_system(rng, num_vars=5, n_axioms=3, field=field), 3).basis
+            if not base.refuted:
+                continue
+            refuted += 1
+            rows, lifted = dict(base._rows), set(base.lifted)
+            for extra in ([], random_system(rng, num_vars=5, n_axioms=2, field=field).axioms):
+                res = monpc_extend(base, extra)
+                assert res.refuted and res.basis.dimension == whole
+                assert len(res.basis._rows) <= len(rows) + 1
+                assert base._rows == rows and base.lifted == lifted
+    assert refuted >= 30
 
 
 def test_monpc_extend_rejects_bad_axioms():
