@@ -33,14 +33,23 @@ def encode_nonreach(n: int, edges, s: int, t: int) -> CnfFormula:
 def _conflict(rel_pairs: list, v1: int, w1: int, v2: int, w2: int) -> bool:
     """Do the assignments v1 -> w1 and v2 -> w2 fail to form a partial
     isomorphism?  rel_pairs pairs each relation's tuple set in the first
-    graph with the same relation's set in the second."""
-    return (v1 == v2) != (w1 == w2) or any(
-        ((v1, v2) in rel_g) != ((w1, w2) in rel_h) for rel_g, rel_h in rel_pairs)
+    graph with the same relation's set in the second.  Both orientations
+    are compared, as a relation need not be symmetric."""
+    if (v1 == v2) != (w1 == w2):
+        return True
+    fwd_g, fwd_h, rev_g, rev_h = (v1, v2), (w1, w2), (v2, v1), (w2, w1)
+    for rel_g, rel_h in rel_pairs:
+        if (fwd_g in rel_g) != (fwd_h in rel_h) or (rev_g in rel_g) != (rev_h in rel_h):
+            return True
+    return False
 
 
-def _sym_edges(edges) -> frozenset:
+def _sym_edges(n: int, edges) -> frozenset:
     out = set()
     for (u, v) in edges:
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+            raise UsageError(f"edge {(u, v)} mentions a vertex that is not an integer "
+                             f"in range(0, {n})")
         out.add((u, v))
         out.add((v, u))
     return frozenset(out)
@@ -51,7 +60,7 @@ def encode_iso_cnf(n_g: int, g_edges, n_h: int, h_edges) -> CnfFormula:
     X[v -> w], plus a binary conflict clause for every pair of assignments
     that is not a partial isomorphism.  Satisfiable iff the graphs are
     isomorphic."""
-    rel_pairs = [(_sym_edges(g_edges), _sym_edges(h_edges))]
+    rel_pairs = [(_sym_edges(n_g, g_edges), _sym_edges(n_h, h_edges))]
     nv = max(n_g, n_h, 1)
     var = lambda v, w: v * nv + w + 1
     clauses = []
@@ -76,7 +85,7 @@ def encode_iso_poly(n_g: int, g_edges, n_h: int, h_edges,
     for every w the preimages sum to one, and a degree-2 product axiom kills
     every edge/non-edge conflict.  {0,1}-solvable iff the graphs are
     isomorphic."""
-    ge, he = _sym_edges(g_edges), _sym_edges(h_edges)
+    ge, he = _sym_edges(n_g, g_edges), _sym_edges(n_h, h_edges)
     var = {}
     for v in range(n_g):
         for w in range(n_h):

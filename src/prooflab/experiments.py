@@ -146,8 +146,6 @@ def experiment_degree_growth(bases: list, p: int = 2, field: Field = RATIONALS,
             raise UsageError(f"unknown base graph {b!r}; shipped: {sorted(BASE_LIBRARY)}")
     if not is_prime(p):
         raise UsageError(f"the CFI p must be prime, got {p}")
-    if field.p == p:
-        raise UsageError("field characteristic must differ from the CFI prime")
     if k_max < 1 or dim_max < 1:
         raise UsageError(f"k_max and dim_max must be >= 1, got {k_max} and {dim_max}")
     by_size = sorted(bases, key=lambda b: BASE_LIBRARY[b].n)
@@ -156,7 +154,7 @@ def experiment_degree_growth(bases: list, p: int = 2, field: Field = RATIONALS,
     # wait in the queue behind the small ones
     for b in reversed(by_size):
         ga, gb = map(to_graph, twisted_pair(BASE_LIBRARY[b], p))
-        row = {"base": b, "base_n": BASE_LIBRARY[b].n, "p": p}
+        row = {"base": b, "base_n": BASE_LIBRARY[b].n, "p": p, "field": str(field)}
         cells.append((b, _pair_cell, (row, ga, gb, encode_iso_poly_colored(ga, gb, field),
                                       k_max, dim_max)))
     results = run_cells(cells, timeout_s, workers)

@@ -210,7 +210,14 @@ def kres_refutes(f: CnfFormula, k: int) -> bool:
 
 
 def two_sat_oracle(f: CnfFormula) -> bool:
-    """Satisfiability of a 2-CNF via strong connectivity of the implication graph."""
+    """Satisfiability of a 2-CNF via strong connectivity of the implication graph.
+
+    A clause a ∨ b gives the edges ¬a → b and ¬b → a (a unit a is a ∨ a),
+    and the formula is satisfiable iff no x shares a component with ¬x.
+    Kosaraju's two iterative passes find the components in linear time: a
+    depth-first search over the successors records when literals finish,
+    and a walk over the predecessors, latest finisher first, labels them.
+    """
     for c in f.clauses:
         if len(c) > 2:
             raise UsageError(f"clause {sorted(c)} has width > 2")
@@ -218,72 +225,40 @@ def two_sat_oracle(f: CnfFormula) -> bool:
         return False
 
     succ: dict[int, list[int]] = {}
-
-    def edge(a: int, b: int):
-        succ.setdefault(a, []).append(b)
-
-    nodes = set()
+    pred: dict[int, list[int]] = {}
     for c in f.clauses:
-        lits = sorted(c)
-        if len(lits) == 1:
-            (a,) = lits
-            edge(-a, a)
-            nodes.update((a, -a))
-        else:
-            a, b = lits
-            edge(-a, b)
-            edge(-b, a)
-            nodes.update((a, -a, b, -b))
+        a, b = min(c), max(c)
+        for u, v in ((-a, b), (-b, a)):
+            succ.setdefault(u, []).append(v)
+            pred.setdefault(v, []).append(u)
 
-    # iterative Tarjan SCC
-    comp: dict[int, int] = {}
-    low: dict[int, int] = {}
-    order: dict[int, int] = {}
-    stack: list[int] = []
-    on_stack: set[int] = set()
-    counter = 0
-    ncomp = 0
-    for root in sorted(nodes):
-        if root in order:
-            continue
-        work = [(root, iter(succ.get(root, ())))]
-        order[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in order:
-                    order[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], order[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == order[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = ncomp
-                    if w == v:
+    finished: list[int] = []
+    seen: set[int] = set()
+    for root in succ:  # every other node is the successor of one of these
+        if root not in seen:
+            seen.add(root)
+            stack = [(root, iter(succ[root]))]
+            while stack:
+                v, it = stack[-1]
+                for w in it:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append((w, iter(succ.get(w, ()))))
                         break
-                ncomp += 1
+                else:  # every successor of v is seen: v finishes
+                    stack.pop()
+                    finished.append(v)
 
-    for v in range(1, f.num_vars + 1):
-        if v in comp and -v in comp and comp[v] == comp[-v]:
-            return False
-    return True
+    comp: dict[int, int] = {}
+    for root in reversed(finished):
+        todo = [root]
+        while todo:
+            v = todo.pop()
+            if v not in comp:
+                comp[v] = root
+                todo.extend(pred.get(v, ()))
+    # a clause with literal l makes both l and ¬l nodes
+    return all(comp[x] != comp[-x] for x in comp)
 
 
 def _dimacs_int(tok: str, line: str) -> int:

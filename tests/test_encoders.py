@@ -151,6 +151,40 @@ def test_iso_encoders_compare_loops():
     assert sat_oracle(encode_iso_cnf(3, ge, 3, ge))
 
 
+def test_iso_poly_colored_compares_both_orientations():
+    # the single edge 1 -> 0 against no edges: the assignments 0 -> 0 and
+    # 1 -> 1 conflict only through the reverse orientation of (0, 1)
+    g = ColoredGraph(2, None, {"E": {(1, 0)}})
+    h = ColoredGraph(2, None, {"E": frozenset()})
+    assert not brute_colored_iso(g, h)
+    assert not poly_system_has_boolean_zero(encode_iso_poly_colored(g, h))
+    rng = random.Random(65)
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        colors = [rng.randrange(2) for _ in range(n)]
+        names = ["R", "S"][:rng.randint(1, 2)]
+        rel = lambda: {(u, v) for u in range(n) for v in range(n) if rng.random() < 0.4}
+        g = ColoredGraph(n, colors, {r: rel() for r in names})
+        if rng.random() < 0.5:  # a relabelled g
+            perm = rng.sample(range(n), n)
+            h = ColoredGraph(n, [colors[perm.index(w)] for w in range(n)],
+                             {r: {(perm[u], perm[v]) for (u, v) in pairs}
+                              for r, pairs in g.relations.items()})
+        else:  # an independent graph with the same colour classes
+            h = ColoredGraph(n, rng.sample(colors, n), {r: rel() for r in names})
+        assert poly_system_has_boolean_zero(encode_iso_poly_colored(g, h)) == brute_colored_iso(g, h)
+
+
+def test_uncoloured_iso_encoders_reject_edges_outside_the_vertices():
+    for encode in (encode_iso_cnf, encode_iso_poly):
+        with pytest.raises(UsageError, match=r"\(0, 5\)"):
+            encode(2, [(0, 5)], 2, [])
+        with pytest.raises(UsageError, match=r"\(-1, 0\)"):
+            encode(2, [], 2, [(-1, 0)])
+        with pytest.raises(UsageError, match=r"\('1', 0\)"):
+            encode(2, [("1", 0)], 2, [])
+
+
 def test_iso_poly_colored_cfi_control_pair():
     # a structure against itself is satisfiable: no refutation at low degree
     from prooflab.cfi import K4, build_cfi, to_graph

@@ -36,8 +36,11 @@ def test_csp_sweep_rows_agree():
 def test_degree_growth_rejects_bad_inputs():
     with pytest.raises(UsageError):
         experiment_degree_growth(["k4", "dodecahedron"])
-    with pytest.raises(UsageError):
-        experiment_degree_growth(["k4"], p=2, field=Field(2))
+    # a field whose characteristic is the CFI prime is a regime to measure,
+    # not a usage error: over F_2 the p = 2 pair is refuted at degree 2
+    (row,) = experiment_degree_growth(["k4"], p=2, field=Field(2), k_max=2, dim_max=1)
+    assert row["status"] == "done" and row["field"] == "F2"
+    assert row["min_degree"] == 2
 
 
 def test_degree_growth_timed_out_row_keeps_wl_dim():

@@ -150,6 +150,30 @@ def test_two_sat_examples():
         two_sat_oracle(CnfFormula(3, [[1, 2, 3]]))
 
 
+def test_width_two_resolution_agrees_with_the_oracle_past_brute_force_size():
+    # 40-60 variables and n to 2n binary clauses straddle the 2-SAT
+    # threshold, so both verdicts occur
+    rng = random.Random(210)
+    verdicts = set()
+    for _ in range(30):
+        n = rng.randint(40, 60)
+        f = CnfFormula(n, [[rng.choice((-1, 1)) * v for v in rng.sample(range(1, n + 1), 2)]
+                           for _ in range(rng.randint(n, 2 * n))])
+        sat = two_sat_oracle(f)
+        assert kres_refutes(f, 2) == kres_saturate(f, 2).refuted == (not sat)
+        verdicts.add(sat)
+    assert verdicts == {True, False}
+
+
+def test_two_sat_oracle_on_a_long_implication_chain():
+    # x1, x1 -> x2, ..., x(n-1) -> xn: a depth-first search runs 100,000
+    # literals deep, past any recursion limit
+    n = 100_000
+    chain = [[1]] + [[-i, i + 1] for i in range(1, n)]
+    assert two_sat_oracle(CnfFormula(n, chain))
+    assert not two_sat_oracle(CnfFormula(n, chain + [[-n, -1]]))
+
+
 def test_dimacs_round_trip():
     f = CnfFormula(4, [[1, -2], [3], [-1, -3, 4]])
     again = read_dimacs(write_dimacs(f))
