@@ -15,9 +15,9 @@ from itertools import product
 from typing import NamedTuple
 
 from .algebra import Field, Matrix, Vector, gauss_solve, is_prime
-from .errors import UsageError, malformed_input
+from .errors import UsageError
 from .logic import RelStructure
-from .wl import ColoredGraph
+from .wl import ColoredGraph, parse_colored_graph
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,10 @@ class CfiBase:
         object.__setattr__(self, "edges", und)
         deg = {v: 0 for v in range(n)}
         for e in und:
+            # a loop {u, u} is a one-element set
+            if len(e) != 2 or not all(type(x) is int and 0 <= x < n for x in e):
+                raise UsageError(f"bad edge {tuple(e)}")
             u, v = sorted(e)
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise UsageError(f"bad edge {sorted(e)}")
             deg[u] += 1
             deg[v] += 1
         bad = [v for v, d in deg.items() if d != 3]
@@ -82,12 +83,11 @@ BASE_LIBRARY = {"k4": K4, "prism": PRISM, "cube": CUBE, "petersen": PETERSEN}
 
 
 def parse_base_graph(text: str) -> CfiBase:
-    """Text format: first line `n m`, then m lines `u v` (0-indexed)."""
-    with malformed_input("base graph text"):
-        lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-        n, m = map(int, lines[0].split())
-        edges = [tuple(map(int, ln.split())) for ln in lines[1:m + 1]]
-        return CfiBase(n, edges)
+    """The graph text format of `parse_colored_graph`, without colors."""
+    g = parse_colored_graph(text)
+    if len(set(g.colors)) > 1:
+        raise UsageError("a base graph has no colors")
+    return CfiBase(g.n, g.relations["E"])
 
 
 def format_base_graph(base: CfiBase) -> str:

@@ -108,7 +108,7 @@ def cmd_encode(args) -> int:
         edges = sorted(g.relations.get("E", frozenset()))
         f = encoders.encode_nonreach(g.n, edges, args.s, args.t)
         sys.stdout.write(resolution.write_dimacs(f))
-    elif args.problem == "iso":
+    else:  # iso
         g, h = _load_graph(args.g), _load_graph(args.h)
         relations = set(g.relations) | set(h.relations)
         if args.format != "poly-colored" and (len(set(g.colors) | set(h.colors)) > 1
@@ -119,17 +119,9 @@ def cmd_encode(args) -> int:
             f = encoders.encode_iso_cnf(g.n, sorted(g.relations.get("E", frozenset())),
                                         h.n, sorted(h.relations.get("E", frozenset())))
             sys.stdout.write(resolution.write_dimacs(f))
-        else:
-            field = _parse_field(args.field)
-            if args.format == "poly":
-                system = encoders.encode_iso_poly(
-                    g.n, sorted(g.relations.get("E", frozenset())),
-                    h.n, sorted(h.relations.get("E", frozenset())), field)
-            else:
-                system = encoders.encode_iso_poly_colored(g, h, field)
+        else:  # poly is the single colour class case of poly-colored
+            system = encoders.encode_iso_poly_colored(g, h, _parse_field(args.field))
             sys.stdout.write(pc.dumps_system(system) + "\n")
-    else:
-        raise UsageError(f"unknown encode problem {args.problem!r}")
     return EXIT_OK
 
 
@@ -186,12 +178,10 @@ def cmd_cfi(args) -> int:
                "second": {"meta": cfi.structure_meta(b),
                           "structure": logic.structure_to_json(cfi.to_rel_structure(b))}},
               args.out)
-    elif args.action == "aut":
+    else:  # aut
         aut = cfi.automorphism_space(base, args.p)
         _emit({"dimension": aut.dimension, "order": args.p ** aut.dimension,
                "basis": [{f"{e}": v for e, v in vec.items()} for vec in aut.basis]})
-    else:
-        raise UsageError(f"unknown cfi action {args.action!r}")
     return EXIT_OK
 
 
@@ -201,11 +191,9 @@ def cmd_game(args) -> int:
         w0, w1 = games.solve_threshold_game(g)
         _emit({"w0": sorted(w0), "w1": sorted(w1)})
         return EXIT_OK
-    if args.action == "encode":
-        ax = games.encode_threshold_axioms(g, _parse_field(args.field))
-        sys.stdout.write(pc.dumps_system(ax.system) + "\n")
-        return EXIT_OK
-    raise UsageError(f"unknown game action {args.action!r}")
+    ax = games.encode_threshold_axioms(g, _parse_field(args.field))
+    sys.stdout.write(pc.dumps_system(ax.system) + "\n")
+    return EXIT_OK
 
 
 def cmd_csp(args) -> int:
@@ -215,11 +203,9 @@ def cmd_csp(args) -> int:
         verdict = encoders.k_consistency(a, t, args.k)
         _emit({"consistent": verdict, "k": args.k})
         return _verdict_exit(not verdict)
-    if args.action == "encode":
-        f = encoders.encode_kconsistency_cnf(a, t, args.k)
-        sys.stdout.write(resolution.write_dimacs(f))
-        return EXIT_OK
-    raise UsageError(f"unknown csp action {args.action!r}")
+    f = encoders.encode_kconsistency_cnf(a, t, args.k)
+    sys.stdout.write(resolution.write_dimacs(f))
+    return EXIT_OK
 
 
 def cmd_lfp(args) -> int:
@@ -234,11 +220,9 @@ def cmd_lfp(args) -> int:
         holds = logic.eval_poslfp(a, phi)
         _emit({"satisfied": holds})
         return _verdict_exit(holds)
-    if args.action == "encode":
-        enc = logic.horn_encode(a, phi)
-        sys.stdout.write(resolution.write_dimacs(enc.cnf))
-        return EXIT_OK
-    raise UsageError(f"unknown lfp action {args.action!r}")
+    enc = logic.horn_encode(a, phi)
+    sys.stdout.write(resolution.write_dimacs(enc.cnf))
+    return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
@@ -260,12 +244,10 @@ def cmd_experiment(args) -> int:
         rows = report["rows"]
         log.info("offsets observed: %s; c = %s", report["offsets"], report["c"])
         _emit({"offsets": report["offsets"], "c": report["c"]})
-    elif args.kind == "csp-sweep":
+    else:  # csp-sweep
         rows = experiments.experiment_csp_sweep(
             cycle_min=args.cycle_min, cycle_max=args.cycle_max,
             k=args.k, timeout_s=timeout, workers=args.workers)
-    else:
-        raise UsageError(f"unknown experiment {args.kind!r}")
     experiments.write_report(rows, args.out_csv, args.out_json)
     if args.kind != "wl-calibrate":
         _emit(rows)

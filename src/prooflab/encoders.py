@@ -55,52 +55,63 @@ def _sym_edges(n: int, edges) -> frozenset:
     return frozenset(out)
 
 
+def _iso_cells(classes: list, rel_pairs: list) -> tuple:
+    """The cells X[v -> w] of an isomorphism encoding and its conflicts.
+
+    classes pairs each color class of the first graph with the matching
+    class of the second; a cell joins a vertex to a vertex of the matching
+    class.  Cells are numbered from 1 class by class, so one class gives
+    v * n_h + w + 1.  Returns the number of cells, the exactly-one lines
+    (the cells of each v, then of each w, class by class), and one sorted
+    tuple of cell ids per pair of cells that `_conflict` rejects, in the
+    order of the sorted cells; a cell that conflicts with itself (a loop at
+    v but not at w) gives a single id."""
+    var = {}
+    for cls_g, cls_h in classes:
+        for v in cls_g:
+            for w in cls_h:
+                var[(v, w)] = len(var) + 1
+    lines = []
+    for cls_g, cls_h in classes:
+        lines += [[var[(v, w)] for w in cls_h] for v in cls_g]
+        lines += [[var[(v, w)] for v in cls_g] for w in cls_h]
+    cells = sorted(var)
+    conflicts = []
+    for i, (v1, w1) in enumerate(cells):
+        for (v2, w2) in cells[i:]:
+            if _conflict(rel_pairs, v1, w1, v2, w2):
+                conflicts.append(tuple(sorted({var[(v1, w1)], var[(v2, w2)]})))
+    return len(var), lines, conflicts
+
+
+def _iso_system(classes: list, rel_pairs: list, field: Field) -> PolySystem:
+    """The images of every v sum to one, the preimages of every w sum to
+    one, and a product axiom kills every conflicting pair of cells."""
+    num_vars, lines, conflicts = _iso_cells(classes, rel_pairs)
+    axioms = [Polynomial(field, [((x,), 1) for x in line] + [((), -1)]) for line in lines]
+    axioms += [Polynomial(field, [(mono, 1)]) for mono in conflicts]
+    return PolySystem(field, num_vars, _dedup(axioms))
+
+
 def encode_iso_cnf(n_g: int, g_edges, n_h: int, h_edges) -> CnfFormula:
     """The classic isomorphism CNF: totality and surjectivity clauses over
-    X[v -> w], plus a binary conflict clause for every pair of assignments
-    that is not a partial isomorphism.  Satisfiable iff the graphs are
-    isomorphic."""
+    X[v -> w], plus a unit or binary clause for every conflict of the
+    polynomial system `encode_iso_poly` writes.  Satisfiable iff the graphs
+    are isomorphic."""
     rel_pairs = [(_sym_edges(n_g, g_edges), _sym_edges(n_h, h_edges))]
-    nv = max(n_g, n_h, 1)
-    var = lambda v, w: v * nv + w + 1
-    clauses = []
-    for v in range(n_g):
-        clauses.append([var(v, w) for w in range(n_h)])  # empty iff n_h = 0
-    for w in range(n_h):
-        clauses.append([var(v, w) for v in range(n_g)])
-    for (v1, w1) in product(range(n_g), range(n_h)):
-        for (v2, w2) in product(range(n_g), range(n_h)):
-            if (v1, w1) > (v2, w2):
-                continue
-            # with (v1, w1) == (v2, w2) this compares the loops at v1 and w1,
-            # and the conflict clause is a unit
-            if _conflict(rel_pairs, v1, w1, v2, w2):
-                clauses.append(list(dict.fromkeys([-var(v1, w1), -var(v2, w2)])))
-    return CnfFormula(max(n_g * nv, 1), clauses)
+    num_vars, lines, conflicts = _iso_cells([(range(n_g), range(n_h))], rel_pairs)
+    # a line is empty iff the other graph has no vertices
+    clauses = lines + [[-x for x in mono] for mono in conflicts]
+    return CnfFormula(max(num_vars, 1), clauses)
 
 
 def encode_iso_poly(n_g: int, g_edges, n_h: int, h_edges,
                     field: Field = RATIONALS) -> PolySystem:
-    """Isomorphism polynomial system: for every v the images sum to one,
-    for every w the preimages sum to one, and a degree-2 product axiom kills
-    every edge/non-edge conflict.  {0,1}-solvable iff the graphs are
-    isomorphic."""
-    ge, he = _sym_edges(n_g, g_edges), _sym_edges(n_h, h_edges)
-    var = {}
-    for v in range(n_g):
-        for w in range(n_h):
-            var[(v, w)] = len(var) + 1
-    axioms = []
-    for v in range(n_g):
-        axioms.append(Polynomial(field, [((var[(v, w)],), 1) for w in range(n_h)] + [((), -1)]))
-    for w in range(n_h):
-        axioms.append(Polynomial(field, [((var[(v, w)],), 1) for v in range(n_g)] + [((), -1)]))
-    for (v1, v2) in product(range(n_g), repeat=2):
-        for (w1, w2) in product(range(n_h), repeat=2):
-            if ((v1, v2) in ge) != ((w1, w2) in he):
-                mono = tuple(sorted({var[(v1, w1)], var[(v2, w2)]}))
-                axioms.append(Polynomial(field, [(mono, 1)]))
-    return PolySystem(field, len(var), _dedup(axioms))
+    """Isomorphism polynomial system of two uncolored graphs: the single
+    color class case of `encode_iso_poly_colored`.  {0,1}-solvable iff the
+    graphs are isomorphic."""
+    rel_pairs = [(_sym_edges(n_g, g_edges), _sym_edges(n_h, h_edges))]
+    return _iso_system([(range(n_g), range(n_h))], rel_pairs, field)
 
 
 def _dedup(axioms: list) -> list:
@@ -114,46 +125,29 @@ def _dedup(axioms: list) -> list:
     return out
 
 
-def _classes(g: ColoredGraph) -> list:
+def _classes(g: ColoredGraph) -> dict:
     by_color: dict = {}
     for v, c in enumerate(g.colors):
         by_color.setdefault(c, []).append(v)
-    return [by_color[c] for c in sorted(by_color)]
+    return by_color
 
 
 def encode_iso_poly_colored(g: ColoredGraph, h: ColoredGraph,
                             field: Field = RATIONALS) -> PolySystem:
     """Color-respecting isomorphism system: X[v -> w] exists only for v, w
     in matching color classes, cutting the variable count to the sum of
-    class-size products.  A class-count mismatch is a usage error."""
-    gc, hc = _classes(g), _classes(h)
-    if len(gc) != len(hc) or sorted(set(g.colors)) != sorted(set(h.colors)) \
-            or any(len(a) != len(b) for a, b in zip(gc, hc)):
-        raise UsageError("color class counts do not match")
+    class-size products, and X[v -> w] X[v' -> w'] = 0 for every two cells
+    that do not form a partial isomorphism of every relation.  Two graphs
+    with vertices whose color sets differ are a usage error; classes of
+    different sizes, as a graph without vertices has against any other,
+    give an unsatisfiable system."""
+    cg, ch = _classes(g), _classes(h)
+    if g.n and h.n and cg.keys() != ch.keys():
+        raise UsageError("the two graphs' color sets differ")
     rel_pairs = [(g.relations.get(r, frozenset()), h.relations.get(r, frozenset()))
                  for r in sorted(set(g.relations) | set(h.relations))]
-    var = {}
-    for cls_g, cls_h in zip(gc, hc):
-        for v in cls_g:
-            for w in cls_h:
-                var[(v, w)] = len(var) + 1
-    axioms = []
-    for cls_g, cls_h in zip(gc, hc):
-        for v in cls_g:
-            axioms.append(Polynomial(field, [((var[(v, w)],), 1) for w in cls_h] + [((), -1)]))
-        for w in cls_h:
-            axioms.append(Polynomial(field, [((var[(v, w)],), 1) for v in cls_g] + [((), -1)]))
-
-    pairs = sorted(var)
-    for (v1, w1) in pairs:
-        for (v2, w2) in pairs:
-            if (v1, w1) > (v2, w2):
-                continue
-            # (v1, w1) == (v2, w2) compares loops: a one-variable conflict
-            if _conflict(rel_pairs, v1, w1, v2, w2):
-                mono = tuple(sorted({var[(v1, w1)], var[(v2, w2)]}))
-                axioms.append(Polynomial(field, [(mono, 1)]))
-    return PolySystem(field, len(var), _dedup(axioms))
+    classes = [(cg.get(c, ()), ch.get(c, ())) for c in sorted(cg.keys() | ch.keys())]
+    return _iso_system(classes, rel_pairs, field)
 
 
 # --- CSP k-consistency ------------------------------------------------------

@@ -25,8 +25,7 @@ from typing import Optional
 from .algebra import Field, RATIONALS, is_prime
 from .cfi import BASE_LIBRARY, to_graph, twisted_pair
 from .encoders import (brute_force_homomorphism, clique_structure, cycle_structure,
-                       encode_iso_poly, encode_iso_poly_colored, encode_kconsistency_cnf,
-                       k_consistency)
+                       encode_iso_poly_colored, encode_kconsistency_cnf, k_consistency)
 from .errors import UsageError
 from .pc import PolySystem, degree_sweep
 from .resolution import kres_refutes
@@ -58,7 +57,7 @@ def run_cells(cells: list, timeout_s: float, workers: Optional[int] = None) -> d
         raise UsageError(f"workers must be >= 1, got {workers}")
     results: dict = {}
     pending = list(cells)
-    running: dict = {}  # reading end -> (key, process, deadline)
+    running: dict = {}  # reading end -> (key, process, deadline; None once stopped)
     while pending or running:
         while pending and len(running) < workers:
             key, func, args = pending.pop(0)
@@ -68,28 +67,25 @@ def run_cells(cells: list, timeout_s: float, workers: Optional[int] = None) -> d
             writer.close()  # the cell holds the only sending end, so its exit is EOF
             results[key] = {}
             running[reader] = (key, proc, time.monotonic() + timeout_s)
-        earliest = min(deadline for _, _, deadline in running.values())
-        for conn in wait(list(running), max(0.0, earliest - time.monotonic())):
+        deadlines = [deadline for _, _, deadline in running.values() if deadline is not None]
+        left = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+        for conn in wait(list(running), left):
             try:
                 results[running[conn][0]].update(conn.recv())
             except (EOFError, OSError):  # the cell has exited; all it sent whole is read
-                key, proc, _ = running.pop(conn)
+                key, proc, deadline = running.pop(conn)
                 proc.join()
                 conn.close()
-                results[key].setdefault("status", "error")
+                if deadline is None:
+                    results[key]["status"] = "timeout"
+                else:
+                    results[key].setdefault("status", "error")
         now = time.monotonic()
-        for conn in [c for c, (_, _, deadline) in running.items() if deadline <= now]:
-            key, proc, _ = running.pop(conn)
-            proc.terminate()
-            proc.join()
-            # stopped, the cell sends nothing more: read what its pipe holds
-            try:
-                while conn.poll():
-                    results[key].update(conn.recv())
-            except (EOFError, OSError):  # OSError: a send cut short
-                pass
-            conn.close()
-            results[key]["status"] = "timeout"
+        for conn, (key, proc, deadline) in list(running.items()):
+            if deadline is not None and deadline <= now:
+                # the pipe is read on to its end, which the stopped cell's exit makes
+                proc.terminate()
+                running[conn] = (key, proc, None)
     return results
 
 
@@ -234,14 +230,10 @@ def experiment_wl_calibrate(k_max: int = 4, dim_max: int = 3,
         raise UsageError(f"k_max and dim_max must be >= 1, got {k_max} and {dim_max}")
     if pairs is None:
         pairs = calibration_pairs()
-    cells = []
-    for name, g, h, colored in pairs:
-        if colored:
-            system = encode_iso_poly_colored(g, h)
-        else:
-            system = encode_iso_poly(g.n, sorted(g.relations.get("E", frozenset())),
-                                     h.n, sorted(h.relations.get("E", frozenset())))
-        cells.append((name, _pair_cell, ({"pair": name}, g, h, system, k_max, dim_max)))
+    # an uncoloured graph is one colour class, so one encoder serves every pair
+    cells = [(name, _pair_cell, ({"pair": name}, g, h, encode_iso_poly_colored(g, h),
+                                 k_max, dim_max))
+             for name, g, h, _ in pairs]
     results = run_cells(cells, timeout_s, workers)
     rows = [results[name] for (name, _, _, _) in pairs]
     offsets = sorted({row["min_degree"] - row["wl_dim"] for row in rows

@@ -46,20 +46,27 @@ class ColoredGraph:
 
 
 def parse_colored_graph(text: str) -> ColoredGraph:
-    """Base-graph text format plus an optional `colors c0 c1 ...` line;
-    the edge list becomes a single symmetric relation E."""
+    """The graph text format: a line `n m`, then exactly m edge lines `u v`,
+    and at most one `colors c0 c1 ...` line; `#` starts a comment line.
+    The edge list becomes a single symmetric relation E."""
     with malformed_input("graph text"):
         lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
         n, m = map(int, lines[0].split())
         pairs = set()
         colors = None
+        edge_lines = 0
         for ln in lines[1:]:
             if ln.startswith("colors"):
+                if colors is not None:
+                    raise UsageError("graph text has more than one colors line")
                 colors = tuple(int(c) for c in ln.split()[1:])
                 continue
             u, v = map(int, ln.split())
             pairs.add((u, v))
             pairs.add((v, u))
+            edge_lines += 1
+        if edge_lines != m:
+            raise UsageError(f"graph text declares {m} edges but lists {edge_lines}")
         return ColoredGraph(n, colors, {"E": frozenset(pairs)})
 
 

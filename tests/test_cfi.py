@@ -33,6 +33,9 @@ def test_base_validation():
     with pytest.raises(UsageError):
         CfiBase(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                     (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)])  # disconnected
+    for bad in ((0, 0), (0, 4), (-1, 0)):
+        with pytest.raises(UsageError, match="bad edge"):
+            CfiBase(4, [bad, (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def test_base_text_round_trip():
@@ -187,3 +190,44 @@ def test_rel_structure_export():
     # preorder is reflexive and total on classes
     pre = rel.relations["pre"][1]
     assert all((i, i) in pre for i in range(24))
+
+
+def test_fp_refutes_cfi_p_at_degree_two():
+    """Over F_p, monomial PC refutes the CFI_p twisted pair at degree 2;
+    over Q and over a field of another characteristic it does not.  The
+    degree is measured, not derived: the lines of a degree-2 refutation
+    are not reconstructed here.  Unrefuted closures pin their dimension,
+    and isomorphic controls (loads at vertices 0 and 1) stay unrefuted."""
+    from prooflab.algebra import RATIONALS, Field
+    from prooflab.encoders import encode_iso_poly_colored
+    from prooflab.pc import monpc_saturate
+
+    def closure(a, b, field):
+        res = monpc_saturate(encode_iso_poly_colored(to_graph(a), to_graph(b), field), 2)
+        return res.refuted, res.basis.dimension
+
+    F2, F3 = Field(2), Field(3)
+    unrefuted = {"k4": 5400, "prism": 11940, "cube": 21040, "petersen": 32700}
+    for name, dim in unrefuted.items():
+        a, b = twisted_pair(BASE_LIBRARY[name], 2)
+        assert closure(a, b, F2)[0], name
+        for field in (RATIONALS, F3):
+            assert closure(a, b, field) == (False, dim), (name, field)
+    a, b = twisted_pair(K4, 3)
+    assert closure(a, b, F3)[0]
+    for field in (RATIONALS, F2):
+        assert closure(a, b, field) == (False, 52102), field
+    for p, lam, dim in ((2, [1, 1, 0, 0], 5399), (3, [1, 2, 0, 0], 52085)):
+        a, control = build_cfi(K4, p, [0] * 4), build_cfi(K4, p, lam)
+        assert cfi_isomorphic(a, control)
+        assert closure(a, control, Field(p)) == (False, dim), p
+
+
+def test_base_graph_text_needs_exactly_m_edge_lines():
+    text = format_base_graph(K4)
+    n_m, *edges = text.splitlines()
+    for lines in (edges[:-1], edges + ["0 1"]):
+        with pytest.raises(UsageError, match="declares 6 edges"):
+            parse_base_graph("\n".join([n_m] + lines) + "\n")
+    with pytest.raises(UsageError, match="no colors"):
+        parse_base_graph(text + "colors 0 0 1 1\n")

@@ -104,6 +104,25 @@ def test_encode_iso_formats(tmp_path, capsys):
         assert code == 10 and json.loads(out)["min_degree"] == 2
 
 
+def test_encode_iso_unequal_vertex_counts(tmp_path, capsys):
+    # a path on 3 vertices, or no vertices, against an edge: an
+    # unsatisfiable encoding in every format, not a usage error; the
+    # exactly-one sums refute at 1
+    (tmp_path / "h.graph").write_text("2 1\n0 1\n")
+    for g_text, num_vars in (("3 2\n0 1\n1 2\n", 6), ("0 0\n", 1)):
+        (tmp_path / "g.graph").write_text(g_text)
+        iso = ["encode", "iso", "--g", str(tmp_path / "g.graph"),
+               "--h", str(tmp_path / "h.graph")]
+        code, out = run(capsys, *iso, "--format", "cnf")
+        assert code == 0 and out.startswith(f"p cnf {num_vars} ")
+        for fmt in ("poly", "poly-colored"):
+            code, out = run(capsys, *iso, "--format", fmt)
+            assert code == 0
+            (tmp_path / "sys.json").write_text(out)
+            code, out = run(capsys, "min-degree", str(tmp_path / "sys.json"))
+            assert code == 10 and json.loads(out)["min_degree"] == 1
+
+
 def test_encode_iso_poly_colored_keeps_what_the_others_refuse(tmp_path, capsys):
     # the pairs that cnf and poly refuse (MALFORMED below) are told apart
     # by WL and refuted through poly-colored
@@ -256,6 +275,15 @@ MALFORMED = [
      ["wl", "--g", "g.json", "--h", "g.json"]),
     ("wl-graph-text-bad", {"g.graph": "x y\n"}, ["wl", "--g", "g.graph", "--h", "g.graph"]),
     ("wl-graph-empty", {"g.graph": ""}, ["wl", "--g", "g.graph", "--h", "g.graph"]),
+] + [
+    # a graph file lists exactly the m edges its header declares
+    (f"{name}-graph-{count}-edge-lines", {"g.graph": text},
+     {"wl": ["wl", "--g", "g.graph", "--h", "g.graph"],
+      "cfi": ["cfi", "gen", "--base", "g.graph"]}[name])
+    for count, text in [("too-few", "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n"),
+                        ("too-many", "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n0 1\n")]
+    for name in ("wl", "cfi")
+] + [
     ("wl-graph-color-str", {"g.json": json.dumps({"n": 2, "colors": [0, "a"], "relations": {}})},
      ["wl", "--g", "g.json", "--h", "g.json"]),
     ("wl-graph-vertex-float", {"g.json": json.dumps({"n": 2, "relations": {"E": [[0.0, 1]]}})},

@@ -185,6 +185,34 @@ def test_uncoloured_iso_encoders_reject_edges_outside_the_vertices():
             encode(2, [("1", 0)], 2, [])
 
 
+def test_iso_encoders_share_one_conflict_rule():
+    # random small uncoloured pairs, loops and unequal sizes included: the
+    # plain system is the single-class coloured one, and the CNF's negative
+    # clauses of width <= 2 are that system's conflict monomials
+    rng = random.Random(66)
+    for _ in range(200):
+        n_g, n_h = rng.randint(1, 4), rng.randint(1, 4)
+        if rng.random() < 0.7:
+            n_h = n_g
+        ge = [(u, v) for u in range(n_g) for v in range(u, n_g) if rng.random() < 0.4]
+        he = [(u, v) for u in range(n_h) for v in range(u, n_h) if rng.random() < 0.4]
+        sym = lambda edges: {(u, v) for (u, v) in edges} | {(v, u) for (u, v) in edges}
+        g = ColoredGraph(n_g, None, {"E": sym(ge)})
+        h = ColoredGraph(n_h, None, {"E": sym(he)})
+        system = encode_iso_poly(n_g, ge, n_h, he)
+        colored = encode_iso_poly_colored(g, h)
+        assert system.num_vars == colored.num_vars == n_g * n_h
+        assert [p.terms for p in system.axioms] == [p.terms for p in colored.axioms]
+        conflicts = {mono for p in system.axioms if len(p.terms) == 1
+                     for mono in p.terms if mono}
+        cnf = encode_iso_cnf(n_g, ge, n_h, he)
+        negative = {tuple(sorted(-lit for lit in c)) for c in cnf.clauses
+                    if c and len(c) <= 2 and all(lit < 0 for lit in c)}
+        assert negative == conflicts
+        if n_g != n_h:
+            assert not sat_oracle(cnf) and not poly_system_has_boolean_zero(system)
+
+
 def test_iso_poly_colored_cfi_control_pair():
     # a structure against itself is satisfiable: no refutation at low degree
     from prooflab.cfi import K4, build_cfi, to_graph

@@ -74,10 +74,21 @@ def test_run_cells_timeout_and_error_paths():
         yield {"n": n}
         raise ValueError("boom")
 
-    results = run_cells([("slow", slow_cell, (1,)), ("bad", bad_cell, (2,))],
-                        timeout_s=2.0, workers=2)
-    assert results["slow"]["status"] == "timeout"
-    assert results["slow"]["n"] == 1
+    def chatty_cell():
+        # sends until it is stopped: its pipe is read on to the end
+        import time
+        i = 0
+        while True:
+            i += 1
+            yield {"i": i, "upto": list(range(i % 50))}
+            time.sleep(0.001)
+
+    results = run_cells([("slow", slow_cell, (1,)), ("bad", bad_cell, (2,)),
+                         ("chatty", chatty_cell, ())], timeout_s=2.0, workers=3)
+    assert results["slow"] == {"n": 1, "status": "timeout"}
+    chatty = results["chatty"]
+    assert chatty["status"] == "timeout" and chatty["i"] > 1
+    assert chatty["upto"] == list(range(chatty["i"] % 50))
     assert results["bad"]["status"] == "error"
     assert "boom" in results["bad"]["error"]
 

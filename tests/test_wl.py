@@ -107,6 +107,11 @@ def test_parse_colored_graph_text():
     assert g.n == 3
     assert g.colors == (0, 1, 0)
     assert (0, 1) in g.relations["E"] and (1, 0) in g.relations["E"]
+    # every line counts: m edge lines exactly, and one colors line at most
+    for text in ("3 2\n0 1\n", "3 2\n0 1\n1 2\n0 2\n",
+                 "3 2\n0 1\n1 2\ncolors 0 1 0\ncolors 1 1 1\n"):
+        with pytest.raises(UsageError):
+            parse_colored_graph(text)
 
 
 def test_non_integer_colors_and_vertices_rejected():
