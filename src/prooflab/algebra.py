@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import UnsupportedFieldError, UsageError
-
-Index = Hashable
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound,

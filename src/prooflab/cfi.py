@@ -31,24 +31,19 @@ class CfiBase:
         und = frozenset(frozenset(e) for e in edges)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", und)
-        deg = {v: 0 for v in range(n)}
+        adj = {v: [] for v in range(n)}
         for e in und:
             # a loop {u, u} is a one-element set
             if len(e) != 2 or not all(type(x) is int and 0 <= x < n for x in e):
                 raise UsageError(f"bad edge {tuple(e)}")
-            u, v = sorted(e)
-            deg[u] += 1
-            deg[v] += 1
-        bad = [v for v, d in deg.items() if d != 3]
+            u, v = e
+            adj[u].append(v)
+            adj[v].append(u)
+        bad = [v for v, ws in adj.items() if len(ws) != 3]
         if bad:
             raise UsageError(f"base graph must be 3-regular; offending vertices {bad}")
         seen = {0} if n else set()
         stack = [0] if n else []
-        adj = {v: [] for v in range(n)}
-        for e in und:
-            u, v = sorted(e)
-            adj[u].append(v)
-            adj[v].append(u)
         while stack:
             v = stack.pop()
             for w in adj[v]:
@@ -57,18 +52,15 @@ class CfiBase:
                     stack.append(w)
         if len(seen) != n:
             raise UsageError("base graph must be connected")
+        # not a field: equality and hashing stay those of (n, edges)
+        object.__setattr__(self, "_adj", tuple(tuple(sorted(adj[v])) for v in range(n)))
 
     def directed_edges(self) -> list:
         """All ordered pairs, sorted by the order inherited from vertex ids."""
-        out = []
-        for e in self.edges:
-            u, v = sorted(e)
-            out.append((u, v))
-            out.append((v, u))
-        return sorted(out)
+        return [(v, w) for v in range(self.n) for w in self._adj[v]]
 
     def neighbors(self, v: int) -> list:
-        return sorted(w for e in self.edges if v in e for w in e if w != v)
+        return list(self._adj[v])
 
 
 # the shipped ordered 3-regular base library
@@ -99,14 +91,12 @@ def format_base_graph(base: CfiBase) -> str:
 class CfiStructure:
     base: CfiBase
     p: int
-    lam: tuple  # load vector over F_p, indexed by base vertices
-
-    # derived, filled by build_cfi
-    universe: list = None        # (directed edge, x) in canonical order
-    elem_id: dict = None         # (edge, x) -> position in universe
-    cycle: frozenset = None      # C relation as id pairs
-    inverse: frozenset = None    # I relation as id pairs
-    cfi_tuples: frozenset = None  # R relation as id triples
+    lam: tuple           # load vector over F_p, indexed by base vertices
+    universe: list       # (directed edge, x) in canonical order
+    elem_id: dict        # (edge, x) -> position in universe
+    cycle: frozenset     # C relation as id pairs
+    inverse: frozenset   # I relation as id pairs
+    cfi_tuples: frozenset  # R relation as id triples
 
     def edge_classes(self) -> list:
         return self.base.directed_edges()
@@ -122,29 +112,26 @@ def build_cfi(base: CfiBase, p: int, lam) -> CfiStructure:
     lam = tuple(int(x) % p for x in lam)
     if len(lam) != base.n:
         raise UsageError("load vector must be indexed by base vertices")
-    s = CfiStructure(base, p, lam)
     edges = base.directed_edges()
-    s.universe = [(e, x) for e in edges for x in range(p)]
-    s.elem_id = {el: i for i, el in enumerate(s.universe)}
+    universe = [(e, x) for e in edges for x in range(p)]
+    elem_id = {el: i for i, el in enumerate(universe)}
     cyc = set()
     inv = set()
     for e in edges:
         rev = (e[1], e[0])
         for x in range(p):
-            cyc.add((s.elem_id[(e, x)], s.elem_id[(e, (x + 1) % p)]))
-            inv.add((s.elem_id[(e, x)], s.elem_id[(rev, (-x) % p)]))
+            cyc.add((elem_id[(e, x)], elem_id[(e, (x + 1) % p)]))
+            inv.add((elem_id[(e, x)], elem_id[(rev, (-x) % p)]))
     tuples = set()
     for v in range(base.n):
         w1, w2, w3 = base.neighbors(v)
         for x1, x2 in product(range(p), repeat=2):
             x3 = (lam[v] - x1 - x2) % p
-            tuples.add((s.elem_id[((v, w1), x1)],
-                        s.elem_id[((v, w2), x2)],
-                        s.elem_id[((v, w3), x3)]))
-    s.cycle = frozenset(cyc)
-    s.inverse = frozenset(inv)
-    s.cfi_tuples = frozenset(tuples)
-    return s
+            tuples.add((elem_id[((v, w1), x1)],
+                        elem_id[((v, w2), x2)],
+                        elem_id[((v, w3), x3)]))
+    return CfiStructure(base, p, lam, universe, elem_id, frozenset(cyc), frozenset(inv),
+                        frozenset(tuples))
 
 
 class AutSpace(NamedTuple):

@@ -177,9 +177,6 @@ class _RowView(Mapping):
     def __getitem__(self, lead):
         return dict(_terms(self._rows[lead]))
 
-    def __contains__(self, lead):
-        return lead in self._rows
-
     def __iter__(self):
         return iter(self._rows)
 
@@ -201,8 +198,9 @@ class Basis:
     c2, ...), keyed by its lead, whose object is also element 0.  Nearly
     all rows have one to five terms, and a dict per row took the peak RSS
     of the K4 k = 4 closure from 944 MB to 1,408 MB.  Rows are replaced,
-    never changed in place, so copies share them.  ``vectors`` is a
-    read-only view that gives each row as a dict.
+    never changed in place, so copies share them, and the engines read
+    them through ``_terms``.  ``vectors`` is a read-only view that gives
+    each row as a dict; it is kept for the benchmark's row and term counts.
 
     A basis may carry a monomial quotient: a set of generator monomials
     of one or two variables whose every multiple of degree <= k is known
@@ -453,11 +451,11 @@ def _check_system(system: PolySystem, k: int):
                 f"axiom of degree {p.degree} exceeds the bound k={k}")
 
 
-def _mul_var(field: Field, vec: dict, x: int) -> dict:
-    """MultLin(x * vec) for a vector of nonzero coefficients."""
+def _mul_var(field: Field, terms, x: int) -> dict:
+    """MultLin(x * vec) for vec given as (monomial, nonzero coefficient) pairs."""
     p = field.p
     out: dict = {}
-    for m, c in vec.items():
+    for m, c in terms:
         t = m if x in m else mono_extend(m, x)
         s = out.get(t)
         if s is None:
@@ -513,7 +511,7 @@ def _lift_axioms(basis: Basis, axioms: list):
                 seen.add(m2)
                 if basis.in_quotient(m2):
                     continue  # every term of the lift is a multiple of m2
-                q = _mul_var(f, lifted, x)
+                q = _mul_var(f, lifted.items(), x)
                 if q and _degree(q) <= k:
                     # a lift that collapsed to zero, or into the quotient,
                     # stays there under further lifting, so only the
@@ -556,12 +554,12 @@ def _lift_linear(basis: Basis, roots: list):
     echelon = Basis(basis.field, 1)
     for root in roots:
         echelon._absorb(basis._normalize(dict(root)))
-    rows = sorted(echelon.vectors.items(), key=lambda lr: mono_key(lr[0]))
+    rows = sorted(echelon._rows.values(), key=lambda row: mono_key(row[0]))
     free = basis.free_monomials(k - 1)
     earlier = 0  # bits of the leads of the rows already lifted
-    for lead, row in rows:
-        c0 = row.get((), 0)
-        coefs = [(t[0], c) for t, c in row.items() if t]
+    for row in rows:
+        c0 = next((c for t, c in _terms(row) if not t), 0)
+        coefs = [(t[0], c) for t, c in _terms(row) if t]
         for m, bits in free:
             if bits & earlier:
                 continue
@@ -579,8 +577,8 @@ def _lift_linear(basis: Basis, roots: list):
                 vec[m] = own
             if vec:
                 yield vec
-        if lead:
-            earlier |= 1 << lead[0]
+        if row[0]:
+            earlier |= 1 << row[0][0]
     for root in roots:
         total = sum(root.values())
         if p is not None:
@@ -601,7 +599,7 @@ def _monpc_rounds(basis: Basis):
     k, num_vars, lifted = basis.k, basis.num_vars, basis.lifted
     while True:
         # _reduce, unlike the read-only span_monomial, tail-reduces the rows the closure uses
-        fresh = sorted((m for m in basis.vectors
+        fresh = sorted((m for m in basis._rows
                         if len(m) < k and m not in lifted and not basis._reduce({m: 1})),
                        key=mono_key)
         if not fresh:
@@ -628,15 +626,15 @@ def _pc_rounds(basis: Basis):
     f, k, num_vars = basis.field, basis.k, basis.num_vars
     in_quotient = basis.in_quotient if basis._nbr else None
     while True:
-        fresh = sorted((lead for lead in basis.vectors
+        fresh = sorted((lead for lead in basis._rows
                         if len(lead) < k and lead not in basis.lifted), key=mono_key)
         if not fresh:
             return
         for lead in fresh:
             basis.lifted.add(lead)
-            row = basis.vectors[lead]
+            row = basis._rows[lead]
             for x in range(1, num_vars + 1):
-                vec = _mul_var(f, row, x)
+                vec = _mul_var(f, _terms(row), x)
                 if in_quotient:
                     vec = {m: c for m, c in vec.items() if not in_quotient(m)}
                 yield vec

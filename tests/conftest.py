@@ -115,40 +115,18 @@ def brute_colored_iso(g: ColoredGraph, h: ColoredGraph) -> bool:
     return backtrack(0)
 
 
-# --- independent posLFP oracle: bottom-up relational evaluation -------------
+# --- independent posLFP oracle: explicit stage tables -----------------------
 
 def stage_table_eval(a: RelStructure, phi: LfpFormula) -> bool:
-    """Evaluates by materialising, for every node, the set of satisfying
-    assignments to its free variables (relational-algebra style); fixpoints
-    iterate explicit stage tables.  Independent of logic.eval_poslfp."""
+    """Evaluates the formula point by point; every fixpoint materialises its
+    stage tables over all tuples of the universe until they are stable.
+    Independent of logic.eval_poslfp."""
     universe = list(range(a.universe_size))
-    binders = {}
-
-    def collect(node):
-        if isinstance(node, Lfp):
-            binders[node.fp] = node
-            collect(node.body)
-        elif isinstance(node, (And, Or)):
-            collect(node.left)
-            collect(node.right)
-        elif isinstance(node, (Exists, Forall)):
-            collect(node.body)
-
-    collect(phi.root)
 
     def term(t, env):
         if t in env:
             return env[t]
         return phi.params[t]
-
-    def rows(node, fvs: tuple, fps: dict) -> set:
-        """Set of assignments (tuples aligned with fvs) satisfying node."""
-        out = set()
-        for values in product(universe, repeat=len(fvs)):
-            env = dict(zip(fvs, values))
-            if point(node, env, fps):
-                out.add(values)
-        return out
 
     def point(node, env, fps) -> bool:
         if isinstance(node, Atom):

@@ -152,8 +152,8 @@ def test_criterion_6_pc_soundness_and_containment():
         rp = pc_saturate(system, 2, full_closure=True)
         if rm.refuted or rp.refuted:
             assert not poly_system_has_boolean_zero(system)
-        for vec in rm.basis.vectors.values():
-            assert rp.basis.contains(dict(vec))
+        for p in rm.basis.polynomials():
+            assert rp.basis.contains(p)
     report(6, True, "100 random systems: refutations sound, monpc span within pc span")
 
 
@@ -161,17 +161,10 @@ def test_criterion_7_wl_degree_calibration():
     pairs = calibration_pairs(include_cfi=True)
     offsets = {}
     cfi_detail = ""
-    for (name, g, h, colored) in pairs:
+    for (name, g, h, _) in pairs:
         if name == "cfi_k4_twisted":
             continue
-        from prooflab.encoders import encode_iso_poly
-        if colored:
-            system = encode_iso_poly_colored(g, h)
-        else:
-            eg = sorted(g.relations.get("E", frozenset()))
-            eh = sorted(h.relations.get("E", frozenset()))
-            system = encode_iso_poly(g.n, eg, h.n, eh)
-        degree = min_refutation_degree(system, "monpc", 4)
+        degree = min_refutation_degree(encode_iso_poly_colored(g, h), "monpc", 4)
         wl = wl_sweep(g, h, 3)
         assert degree is not None and wl is not None, name
         offsets[name] = degree - wl
@@ -180,13 +173,8 @@ def test_criterion_7_wl_degree_calibration():
     c = distinct[0] if uniform else None
 
     # stability across runs: recompute a sample and compare
-    for (name, g, h, colored) in pairs[:3]:
-        if colored or name == "cfi_k4_twisted":
-            continue
-        from prooflab.encoders import encode_iso_poly
-        eg = sorted(g.relations.get("E", frozenset()))
-        eh = sorted(h.relations.get("E", frozenset()))
-        system = encode_iso_poly(g.n, eg, h.n, eh)
+    for (name, g, h, _) in pairs[:3]:
+        system = encode_iso_poly_colored(g, h)
         assert min_refutation_degree(system, "monpc", 4) - wl_sweep(g, h, 3) == offsets[name]
 
     # CFI/K4 twisted pair: wl dimension computes exactly; the matching degree
