@@ -6,7 +6,10 @@ and multiplication of monomials is set union.  The saturation engines
 maintain an echelon basis of the derivable span, keyed by leading monomial
 under graded lexicographic order.  Both take the single-term axioms of one
 or two variables as a monomial quotient of that basis, and lift every
-other axiom into its rows.
+other axiom into its rows.  The quotient then grows: a monomial of degree
+1 to k - 1 in the span has its every multiple of degree <= k there too,
+under both engines' rules, so each one the engines find becomes a
+generator, and the rows its multiples led are evicted.
 """
 
 from __future__ import annotations
@@ -203,12 +206,18 @@ class Basis:
     each row as a dict; it is kept for the benchmark's row and term counts.
 
     A basis may carry a monomial quotient: a set of generator monomials
-    of one or two variables whose every multiple of degree <= k is known
-    to lie in the span (the lifts of single-term axioms).  Those multiples
-    form a coordinate subspace M, and the span is M plus the span of the
-    rows, which never mention a monomial of M: terms in M are dropped
-    before elimination.  The rows do not include M; ``dimension``
-    counts M as well.  The quotient is one bit table, ``_nbr``.
+    whose every multiple of degree <= k is known to lie in the span.
+    Those multiples form a coordinate subspace M, and the span is M plus
+    the span of the rows, whose leads never lie in M.  The generators
+    given at construction have one or two variables (the single-term
+    axioms); a closure adds, by ``_grow``, each monomial of degree 1 to
+    k - 1 that it finds in the span, and evicts the rows its multiples
+    led.  A row may then still hold tail terms that entered M after it
+    was stored, so remainders are read modulo M.  Generators of one or two
+    variables live in one bit table, ``_nbr``; wider ones, which only a
+    closure at k >= 4 grows, in the set ``_wide``.  ``quotient_size()``
+    counts the multiples of the construction generators only;
+    ``dimension`` counts the rows and the whole of M.
     """
 
     def __init__(self, field: Field, k: int, num_vars: int = 0, quotient: Iterable = ()):
@@ -222,20 +231,22 @@ class Basis:
         if any(len(g) > 2 for g in gens):
             raise UsageError("quotient generators have one or two variables")
         # nbr[v] has bit u set when {u, v} is a generator, and bit 0 when {v}
-        # is, so that for m outside the quotient, m * v is inside it iff
-        # nbr[v] & (1 | bits of m)
-        self._nbr = [0] * (num_vars + 1) if gens else []
+        # is, so that for m outside the quotient, m * v is a multiple of a
+        # generator of one or two variables iff nbr[v] & (1 | bits of m)
+        self._nbr = [0] * (num_vars + 1)
+        self._wide: set = set()  # generators of three or more variables
+        self._gens = 0           # generators added, at construction and since
         for g in gens:
-            if len(g) == 1:
-                self._nbr[g[0]] |= 1
-            else:
-                self._nbr[g[0]] |= 1 << g[1]
-                self._nbr[g[1]] |= 1 << g[0]
+            self._add_generator(g)
+        self._base_nbr = tuple(self._nbr)  # the construction generators, for quotient_size
         self._quotient_size = None
 
     def copy(self) -> "Basis":
         c = Basis(self.field, self.k, self.num_vars)
-        c._nbr = self._nbr
+        c._nbr = list(self._nbr)  # a closure of the copy grows its own quotient
+        c._wide = set(self._wide)
+        c._gens = self._gens
+        c._base_nbr = self._base_nbr
         c._quotient_size = self._quotient_size
         c._rows = dict(self._rows)  # rows are replaced, never changed in place
         c.lifted = set(self.lifted)
@@ -249,25 +260,81 @@ class Basis:
     def in_quotient(self, m: Monomial) -> bool:
         """Is m a multiple of a quotient generator?"""
         nbr = self._nbr
-        if not nbr:
-            return False
         seen = 1
         for v in m:
             if nbr[v] & seen:
                 return True
             seen |= 1 << v
-        return False
+        wide = self._wide
+        if not wide or len(m) < 3:
+            return False
+        return m in wide or any(s in wide for d in range(3, len(m)) for s in combinations(m, d))
 
-    def _walk(self, d: int):
+    def _add_generator(self, g: Monomial):
+        if len(g) == 1:
+            self._nbr[g[0]] |= 1
+        elif len(g) == 2:
+            self._nbr[g[0]] |= 1 << g[1]
+            self._nbr[g[1]] |= 1 << g[0]
+        else:
+            self._wide.add(g)
+        self._gens += 1
+
+    def _grow(self, m: Monomial) -> list:
+        """Make m, a monomial of degree 1 to k - 1 that lies in the span, a
+        quotient generator, and evict the rows led by its multiples.
+        Returns what is left of each evicted row once its quotient terms
+        are dropped, for the caller to absorb: the span then changes only
+        by the multiples of m that it gains.  The rows are found by a walk
+        over the multiples of m or by a scan of the leads, whichever has
+        fewer to visit."""
+        if self.in_quotient(m):
+            return []
+        rows, k, n, nbr = self._rows, self.k, self.num_vars, self._nbr
+        if sum(comb(n - len(m), e) for e in range(k - len(m) + 1)) < len(rows):
+            # a walk over the multiples that no pair or single generator
+            # divides: only those can lead a row
+            bits = 1 | sum(1 << v for v in m)
+            start = sum(1 << v for v in range(1, n + 1) if not (bits >> v) & 1 and not nbr[v] & bits)
+            leads, stack = [], [(m, start)]
+            while stack:
+                t, cands = stack.pop()
+                if t in rows:
+                    leads.append(t)
+                if len(t) == k:
+                    continue
+                while cands:
+                    low = cands & -cands
+                    cands ^= low
+                    v = low.bit_length() - 1
+                    stack.append((mono_extend(t, v), cands & ~nbr[v]))
+        else:
+            leads = [lead for lead in rows if all(map(lead.__contains__, m))]
+        self._add_generator(m)
+        left = []
+        for row in map(rows.pop, leads):
+            vec = {t: c for t, c in _terms(row[2:]) if not self.in_quotient(t)}
+            if vec:
+                left.append(vec)
+        return left
+
+    def _walk(self, d: int, base: bool = False):
         """Yield (m, bits, cands) for the monomials m of degree <= d outside
         the quotient, by a walk over increasing variable sets.  bits is 1 |
         sum of 1 << v over v in m; cands has bit v set for the variables v
-        above max(m) that form no pair or single generator with m."""
+        above max(m) with m * v outside the quotient.  With base set, the
+        quotient is that of the construction generators alone."""
+        nbr, wide = (self._base_nbr, ()) if base else (self._nbr, self._wide)
         n = self.num_vars
-        nbr = self._nbr or [0] * (n + 1)
         every = (1 << (n + 1)) - 2  # bits 1..n
         # partners[v]: variables above v that form no pair generator with v
         partners = [every & ~((2 << v) - 1) & ~nbr[v] for v in range(n + 1)]
+        # tails[s]: bits of the last variables of the wide generators whose
+        # other variables are s; m + (v,) + (w,) is in the quotient when
+        # some s + (v,) inside it has bit w in tails
+        tails: dict = {}
+        for g in wide:
+            tails[g[:-1]] = tails.get(g[:-1], 0) | 1 << g[-1]
         start = sum(1 << v for v in range(1, n + 1) if not nbr[v] & 1)
         # an explicit stack: a recursive closure would keep this basis in a
         # reference cycle, alive until the cyclic collector runs
@@ -282,7 +349,12 @@ class Basis:
                 low = rest & -rest
                 rest ^= low
                 v = low.bit_length() - 1
-                stack.append((m + (v,), bits | low, cands & partners[v]))
+                below = cands & partners[v]
+                if tails:
+                    for e in range(1, len(m) + 1):
+                        for s in combinations(m, e):
+                            below &= ~tails.get(s + (v,), 0)
+                stack.append((m + (v,), bits | low, below))
 
     def free_monomials(self, d: int) -> list:
         """The monomials of degree <= d outside the quotient, as (m, bits)
@@ -290,27 +362,35 @@ class Basis:
         return sorted(((m, bits) for m, bits, _ in self._walk(d)),
                       key=lambda mb: mono_key(mb[0]))
 
+    def _count_quotient(self, base: bool = False) -> int:
+        """Number of monomials of degree <= k in the quotient, or with base
+        set in that of the construction generators."""
+        k = self.k
+        size = sum(comb(self.num_vars, d) for d in range(k + 1))
+        # the degree-k leaves below m are m + (v,) for v in cands
+        for m, _, cands in self._walk(k - 1, base):
+            size -= 1 + (cands.bit_count() if len(m) == k - 1 else 0)
+        return size
+
     def quotient_size(self) -> int:
-        """Number of monomials of degree <= k inside the quotient."""
+        """Number of monomials of degree <= k that are multiples of the
+        generators given at construction; those a closure grows are
+        counted in ``dimension`` only."""
         if self._quotient_size is None:
-            k, size = self.k, 0
-            if self._nbr:
-                size = sum(comb(self.num_vars, d) for d in range(k + 1))
-                # the degree-k leaves below m are m + (v,) for v in cands
-                for m, _, cands in self._walk(k - 1):
-                    size -= 1 + (cands.bit_count() if len(m) == k - 1 else 0)
-            self._quotient_size = size
+            self._quotient_size = self._count_quotient(base=True) if any(self._base_nbr) else 0
         return self._quotient_size
 
     @property
     def dimension(self) -> int:
-        """Dimension of the span, quotient included.  A refuted span closes
-        to the whole space under both engines' rules, so a refuted basis
-        counts every monomial of degree <= k, whether or not its closure
-        stopped early."""
+        """Dimension of the span: the rows and the whole quotient, grown
+        generators included.  A refuted span closes to the whole space
+        under both engines' rules, so a refuted basis counts every monomial
+        of degree <= k, whether or not its closure stopped early."""
         if self.refuted:
             return sum(comb(self.num_vars, d) for d in range(self.k + 1))
-        return len(self._rows) + self.quotient_size()
+        if not self._gens:
+            return len(self._rows)
+        return len(self._rows) + self._count_quotient()
 
     @property
     def refuted(self) -> bool:
@@ -324,7 +404,7 @@ class Basis:
         for row in sorted(self._rows.values(), key=lambda r: mono_key(r[0]), reverse=True):
             inv = Fraction(1, row[1]) if f.is_rational else f.inv(row[1])
             out.append(Polynomial(f, {m: f.mul(inv, c) for m, c in _terms(row)}))
-        if self._nbr:
+        if self._gens:
             for d in range(1, self.k + 1):
                 for m in combinations(range(1, self.num_vars + 1), d):
                     if self.in_quotient(m):
@@ -333,7 +413,7 @@ class Basis:
 
     def _normalize(self, vec: dict) -> dict:
         """Drop the quotient terms, then scale as _scale does."""
-        if self._nbr:
+        if self._gens:
             vec = {m: c for m, c in vec.items() if not self.in_quotient(m)}
         return self._scale(vec)
 
@@ -353,7 +433,9 @@ class Basis:
         replaced, which keeps its lead and the span.  An elimination then
         brings in no monomial that leads a row, so the hits of vec can be
         taken in any order.  The remainder does not depend on that order:
-        it is the part of vec on the monomials that lead no row.
+        it is the part of vec on the monomials that lead no row.  Rows may
+        hold tail terms that entered the quotient after they were stored,
+        so the remainder is to be read modulo the quotient.
         """
         rows = self._rows
         todo = [m for m in vec if m in rows and m != skip]
@@ -400,27 +482,53 @@ class Basis:
                         del vec[t]
         return _primitive(vec) if p is None else vec
 
-    def contains(self, vec) -> bool:
+    def _spans(self, vec: dict, depth: int = 0) -> bool:
+        """Does vec, normalized, lie in the span?  vec is consumed."""
+        return all(map(self.in_quotient, self._reduce(vec, depth=depth)))
+
+    def _checked(self, vec) -> dict:
+        """A copy of vec, a Polynomial or a monomial -> coefficient map,
+        whose monomials are checked against the variables and the degree
+        bound of the basis."""
         if isinstance(vec, Polynomial):
             vec = vec.terms
+        n, k = self.num_vars, self.k
+        for m in vec:
+            if (type(m) is not tuple or any(type(v) is not int or not 0 < v <= n for v in m)
+                    or any(a >= b for a, b in zip(m, m[1:]))):
+                raise UsageError(f"monomial {m!r} is not an increasing tuple of "
+                                 f"variable ids 1..{n}")
+            if len(m) > k:
+                raise DegreeOverflowError(f"monomial {m!r} exceeds the bound k={k}")
+        return dict(vec)
+
+    def contains(self, vec) -> bool:
         # at _TAIL_DEPTH rows are used as stored: a query replaces none of them
-        return not self._reduce(self._normalize(dict(vec)), depth=_TAIL_DEPTH)
+        return self._spans(self._normalize(self._checked(vec)), _TAIL_DEPTH)
 
     def insert(self, vec) -> bool:
         """Reduce vec against the basis; absorb it if independent.
 
         Returns True iff the dimension grew.  Zero reductions are dropped.
+        The quotient does not grow: that is the closures' rule, not the
+        span's.
         """
-        if isinstance(vec, Polynomial):
-            vec = vec.terms
-        return self._absorb(self._normalize(dict(vec)))
+        return self._absorb(self._normalize(self._checked(vec))) is not None
 
-    def _absorb(self, vec: dict) -> bool:
-        """insert for a vector that is already normalized; vec is consumed."""
+    def _absorb(self, vec: dict) -> Optional[Monomial]:
+        """insert for a vector that is already normalized; vec is consumed.
+        Returns the lead of the new row, or None if vec lay in the span."""
         vec = self._reduce(vec)
         if not vec:
-            return False
+            return None
         lead = max(vec, key=mono_key)
+        if self._gens and self.in_quotient(lead):
+            # a term that entered the quotient after the row that brought
+            # it in was stored: read the remainder modulo the quotient
+            vec = self._scale({t: c for t, c in vec.items() if not self.in_quotient(t)})
+            if not vec:
+                return None
+            lead = max(vec, key=mono_key)
         if self.field.is_rational:
             if vec[lead] < 0:
                 vec = {m: -c for m, c in vec.items()}
@@ -430,7 +538,7 @@ class Basis:
                 p = self.field.p
                 vec = {m: (c * inv) % p for m, c in vec.items()}
         self._rows[lead] = _row(lead, vec)
-        return True
+        return lead
 
     def span_monomial(self, m: Monomial) -> bool:
         """Is the single monomial m in the span?"""
@@ -486,7 +594,7 @@ def _lift_axioms(basis: Basis, axioms: list):
     # what is yielded.  An axiom whose terms all lie in the quotient has
     # every lift there too.
     roots = [basis._scale(dict(p.terms)) for p in axioms]
-    if basis._nbr:
+    if basis._gens:
         roots = [root for root in roots if not all(map(basis.in_quotient, root))]
     linear = [root for root in roots if _degree(root) <= 1]
     if linear:
@@ -516,7 +624,7 @@ def _lift_axioms(basis: Basis, axioms: list):
                     # a lift that collapsed to zero, or into the quotient,
                     # stays there under further lifting, so only the
                     # others are worth yielding and extending
-                    if basis._nbr and all(map(basis.in_quotient, q)):
+                    if basis._gens and all(map(basis.in_quotient, q)):
                         continue
                     yield basis._normalize(dict(q))
                     queue.append((m2, q))
@@ -530,6 +638,7 @@ def _lift_linear(basis: Basis, roots: list):
     MultLin(m.p) has degree <= k; a lift by m of degree k stays within the
     bound only if m covers the variables of p, and it is then sum(p) * m.
     Lift monomials in the quotient are skipped: their lifts lie in it.
+    That includes those that entered it while the lifts were absorbed.
 
     The lifts by m of degree < k are linear in p, so they come from an
     echelon form q_1, ..., q_r of the axioms, taken in increasing order of
@@ -556,6 +665,7 @@ def _lift_linear(basis: Basis, roots: list):
         echelon._absorb(basis._normalize(dict(root)))
     rows = sorted(echelon._rows.values(), key=lambda row: mono_key(row[0]))
     free = basis.free_monomials(k - 1)
+    listed = basis._gens  # the generators when free was listed
     earlier = 0  # bits of the leads of the rows already lifted
     for row in rows:
         c0 = next((c for t, c in _terms(row) if not t), 0)
@@ -563,13 +673,15 @@ def _lift_linear(basis: Basis, roots: list):
         for m, bits in free:
             if bits & earlier:
                 continue
+            if basis._gens != listed and basis.in_quotient(m):
+                continue
             vec = {}
             own = c0
             for x, c in coefs:
                 if (bits >> x) & 1:
                     own += c  # MultLin(x.m) = m
                     continue
-                if not (nbr and nbr[x] & bits):
+                if not nbr[x] & bits:
                     vec[mono_extend(m, x)] = c
             if p is not None:
                 own %= p
@@ -593,51 +705,47 @@ def _lift_linear(basis: Basis, roots: list):
                 yield {m: total}
 
 
-def _monpc_rounds(basis: Basis):
-    """Yield the lift by every variable of every in-span monomial of degree
-    < k, round after round, until the span is stable."""
-    k, num_vars, lifted = basis.k, basis.num_vars, basis.lifted
+def _rounds(basis: Basis, every_row: bool):
+    """The rounds of both engines, until a round yields nothing.  Each
+    round first yields {m: 1} for every row lead m of degree 1 to k - 1
+    that lies in the span: _close makes it a quotient generator, which
+    puts its every multiple of degree <= k in the span, as both engines'
+    rules do.  Then it yields the lift by every variable of each row led
+    below degree k that no earlier round lifted: with every_row, of every
+    such row (full PC), and otherwise of the constant row alone, the one
+    in-span monomial that is not a generator but the refutation (monomial
+    PC).  The quotient terms of each lift are dropped: they lie in the span
+    already.  A row evicted since its round began is skipped: its lead is
+    in the quotient, and what was left of it was absorbed anew."""
+    f, k, num_vars = basis.field, basis.k, basis.num_vars
+    rows, lifted = basis._rows, basis.lifted
     while True:
-        # _reduce, unlike the read-only span_monomial, tail-reduces the rows the closure uses
-        fresh = sorted((m for m in basis._rows
-                        if len(m) < k and m not in lifted and not basis._reduce({m: 1})),
-                       key=mono_key)
-        if not fresh:
+        low = sorted((lead for lead in rows if len(lead) < k), key=mono_key)
+        # _spans, unlike the read-only span_monomial, tail-reduces the rows the closure uses
+        spanned = [m for m in low if m and basis._spans({m: 1})]
+        fresh = [lead for lead in low if lead not in lifted and (every_row or not lead)]
+        if not spanned and not fresh:
             return
-        for m in fresh:
-            lifted.add(m)
+        for m in spanned:
+            yield {m: 1}
+        for lead in fresh:
+            row = rows.get(lead)
+            if row is None:
+                continue
+            lifted.add(lead)
             for x in range(1, num_vars + 1):
-                if x in m:
-                    continue  # MultLin(X.m) = m, already in the span
-                xm = mono_extend(m, x)
-                if basis.in_quotient(xm):
-                    continue
-                # xm = y.m' for an m' lifted before: that product went in then
-                if any(y != x and xm[:i] + xm[i + 1:] in lifted for i, y in enumerate(xm)):
-                    continue
-                yield {xm: 1}
+                vec = _mul_var(f, _terms(row), x)
+                if basis._gens:
+                    vec = {m: c for m, c in vec.items() if not basis.in_quotient(m)}
+                yield vec
+
+
+def _monpc_rounds(basis: Basis):
+    return _rounds(basis, False)
 
 
 def _pc_rounds(basis: Basis):
-    """Yield the lift by every variable of each row whose lead has degree < k
-    and that no earlier round lifted, until no such row is left.  The
-    quotient terms of each product are dropped: they lie in the span
-    already."""
-    f, k, num_vars = basis.field, basis.k, basis.num_vars
-    in_quotient = basis.in_quotient if basis._nbr else None
-    while True:
-        fresh = sorted((lead for lead in basis._rows
-                        if len(lead) < k and lead not in basis.lifted), key=mono_key)
-        if not fresh:
-            return
-        for lead in fresh:
-            basis.lifted.add(lead)
-            row = basis._rows[lead]
-            for x in range(1, num_vars + 1):
-                vec = _mul_var(f, _terms(row), x)
-                if in_quotient:
-                    vec = {m: c for m, c in vec.items() if not in_quotient(m)}
-                yield vec
+    return _rounds(basis, True)
 
 
 def _close(system: PolySystem, k: int, rounds, full_closure: bool,
@@ -645,18 +753,40 @@ def _close(system: PolySystem, k: int, rounds, full_closure: bool,
     """Check the system, then absorb into the basis each vector that the
     axiom lifts and then the engine's rounds yield, as soon as it is
     yielded: a round reads the basis as the absorbs before it left it.
-    Unless full_closure is set, stop once the basis is refuted.  A fresh
-    basis takes as its quotient the single-term axioms of one or two
-    variables (for an isomorphism system, the conflict monomials): in
-    either engine their multiples of degree <= k are all lifts.  Wider
-    single-term axioms are lifted like the rest.
+    Unless full_closure is set, stop once the basis is refuted.
+
+    A fresh basis takes as its quotient the single-term axioms of one or
+    two variables (for an isomorphism system, the conflict monomials): in
+    either engine their multiples of degree <= k are all lifts.  The
+    quotient then grows.  Both engines' rules put every multiple of degree
+    <= k of an in-span monomial m with 1 <= deg m < k in the span, so m
+    becomes a generator when a yielded vector is the single term m, or
+    when an absorb leaves m as a single-term row.  The rows that m's
+    multiples led are evicted, and what is left of each is absorbed in
+    turn.  The constant is never a generator: it is the refutation.
     """
     _check_system(system, k)
     if basis is None:
         quotient = [m for p in system.axioms if len(p.terms) == 1 for m in p.terms if len(m) <= 2]
         basis = Basis(system.field, k, system.num_vars, quotient)
+    rows, absorb, grow = basis._rows, basis._absorb, basis._grow
     for vec in chain(_lift_axioms(basis, system.axioms), rounds(basis)):
-        basis._absorb(vec)
+        todo = [vec]
+        while todo:
+            vec = todo.pop()
+            if len(vec) == 1:
+                m = next(iter(vec))
+                if 0 < len(m) < k:
+                    todo += grow(m)
+                    continue
+            m = absorb(vec)
+            if m is None:
+                continue
+            if not m:  # the constant: refuted
+                if not full_closure:
+                    break
+            elif len(m) < k and len(rows[m]) == 2:
+                todo += grow(m)
         if not full_closure and basis.refuted:
             break
     return SaturationResult(basis.refuted, basis)
@@ -665,12 +795,17 @@ def _close(system: PolySystem, k: int, rounds, full_closure: bool,
 def monpc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> SaturationResult:
     """Saturate the degree-k monomial-PC span of the axiom system.
 
-    Initialises with all degree-bounded axiom lifts, then repeatedly lifts
-    every monomial of degree < k lying in the current span by every
-    variable, until the span is stable.  Refuted iff the constant 1 lies in
-    the span.  By default the loop stops as soon as a refutation appears
-    (the span then closes to the whole space, so completing it carries no
-    information); pass full_closure=True to saturate regardless.
+    Initialises with all degree-bounded axiom lifts.  The rule "from m
+    infer x.m" puts the multiples of degree <= k of an in-span monomial m
+    of degree < k all in the span, so every such m of degree >= 1 becomes a
+    quotient generator as soon as it is found; the rounds look for row
+    leads in the span until there are none.  Refuted iff the constant 1
+    lies in the span.  By default the loop stops as soon as a refutation
+    appears (the span then closes to the whole space, so completing it
+    carries no information); pass full_closure=True to saturate
+    regardless.  The basis's quotient_size() counts the multiples of the
+    single-term axioms of one or two variables; its dimension counts the
+    rows and the whole grown quotient.
     """
     return _close(system, k, _monpc_rounds, full_closure)
 
@@ -679,9 +814,11 @@ def monpc_extend(basis: Basis, extra_axioms: list, full_closure: bool = False) -
     """Continue a finished monomial-PC saturation after adding axioms.
 
     basis must be the result of monpc_saturate (or a previous extend) for a
-    subset of the axioms over the same variables and degree bound; the
-    given basis is not modified, and its quotient is kept as it is.
-    Produces the same span as saturating the enlarged system from scratch.
+    subset of the axioms over the same variables and degree bound.  The
+    given basis is not modified: the extension grows a copy of its
+    quotient, and quotient_size() still counts the base system's
+    single-term axioms.  Produces the same span as saturating the enlarged
+    system from scratch.
     """
     return _close(PolySystem(basis.field, basis.num_vars, list(extra_axioms)), basis.k,
                   _monpc_rounds, full_closure, basis.copy())
@@ -697,10 +834,12 @@ def pc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> Satur
     lead of a combination cannot cancel and the rows led below degree k
     span {p in span : deg(p) < k} modulo the quotient.  Lifting each lead
     once is enough: a row that tail reduction later replaces differs from
-    the lifted one by rows with smaller leads, which are lifted too.
-    Refuted iff the constant 1 lies in the span; full_closure is as for
-    monpc_saturate.  Over Q the K4 CFI pair's colour-restricted system
-    closes at k = 2 in 0.3 s, not refuted, and refutes at k = 3 in 2-3 s.
+    the lifted one by rows with smaller leads, which are lifted too.  A
+    monomial of degree 1 to k - 1 in the span becomes a quotient generator
+    instead of a row to lift, as in monpc_saturate.  Refuted iff the
+    constant 1 lies in the span; full_closure is as for monpc_saturate.
+    Over Q the K4 CFI pair's colour-restricted system closes at k = 2 in
+    0.3 s, not refuted, and refutes at k = 3 in 1-2 s.
     """
     return _close(system, k, _pc_rounds, full_closure)
 

@@ -179,7 +179,7 @@ def test_criterion_7_wl_degree_calibration():
 
     # CFI/K4 twisted pair: wl dimension computes exactly; the matching degree
     # wl + c = 4 needs a 6.4e6-dimension closure (it refutes in under a
-    # minute at about 0.95 GB), which test_cfi_k4_degree_is_four below runs, so
+    # minute at about 0.43 GB), which test_cfi_k4_degree_is_four below runs, so
     # here the criterion is verified one-sidedly: no refutation at wl + c - 1
     (name, ga, gb, _) = pairs[-1]
     assert name == "cfi_k4_twisted"
@@ -210,7 +210,7 @@ print(json.dumps({"refuted_3": verdicts[3], "refuted_4": verdicts[4],
 def test_cfi_k4_degree_is_four():
     # completes the criterion-7 equality for the CFI/K4 pair: the minimal
     # monomial-PC degree of the colored twisted-pair system is exactly 4.
-    # The degree-4 closure takes under a minute at about 0.95 GB peak RSS
+    # The degree-4 closure takes under a minute at about 0.43 GB peak RSS
     # on 2 cores.  It runs in a fresh interpreter, so that the peak it
     # reports is its own and not the test session's.
     t0 = time.time()

@@ -266,7 +266,8 @@ def test_monpc_extend_matches_cold_start():
 
 def test_monpc_extend_leaves_its_base_as_it_was():
     # an extension shares the base's stored rows, which both only ever
-    # replace: extending one base twice must find it as it was before
+    # replace, and grows a copy of its quotient: extending one base twice
+    # must find it as it was before
     rng = random.Random(27)
     shared = 0
     for field in (Q, Field(3)):
@@ -275,10 +276,13 @@ def test_monpc_extend_leaves_its_base_as_it_was():
                                   full_closure=True).basis
             rows = dict(base._rows)
             lifted = set(base.lifted)
+            table, wide, dimension = list(base._nbr), set(base._wide), base.dimension
             for _ in range(2):
                 extra = random_system(rng, num_vars=5, n_axioms=2, field=field).axioms
                 warm = monpc_extend(base, extra, full_closure=True).basis
                 assert base._rows == rows and base.lifted == lifted
+                assert base._nbr == table and base._wide == wide
+                assert base.dimension == dimension
                 shared += sum(warm._rows.get(lead) is row for lead, row in base._rows.items())
     assert shared  # not copied row by row
 
@@ -303,6 +307,27 @@ def test_monpc_extend_of_a_refuted_early_exit_base():
                 assert len(res.basis._rows) <= len(rows) + 1
                 assert base._rows == rows and base.lifted == lifted
     assert refuted >= 30
+
+
+def test_queries_and_inserts_check_their_monomials():
+    # the same checks without a quotient, with one given at construction,
+    # and with one that a closure grew: X1 + X2 and X1 - X2 put X1 and X2
+    # in the span, so their multiples X1 X2, X1 X3 and X2 X3 join them
+    grown = monpc_saturate(PolySystem(Q, 3, [P([((1,), 1), ((2,), 1)]),
+                                             P([((1,), 1), ((2,), -1)])]), 2).basis
+    assert grown.in_quotient((1,)) and grown.in_quotient((2,)) and not grown.in_quotient((3,))
+    assert grown.quotient_size() == 0 and grown.dimension == 5
+    for basis in (Basis(Q, 2, 3), Basis(Q, 2, 3, [(1, 2)]), grown):
+        for bad in ((7,), (0,), (2, 1), (1, 1), (True,), (1.0,), 1):
+            for query in (lambda: basis.contains({bad: 1}), lambda: basis.span_monomial(bad),
+                          lambda: basis.insert({bad: 1})):
+                with pytest.raises(UsageError):
+                    query()
+        for query in (lambda: basis.contains({(1, 2, 3): 1}), lambda: basis.span_monomial((1, 2, 3)),
+                      lambda: basis.insert(P([((1, 2, 3), 1), ((), 1)]))):
+            with pytest.raises(DegreeOverflowError):
+                query()
+        assert not basis.contains({(3,): 1, (): 1})
 
 
 def test_monpc_extend_rejects_bad_axioms():
@@ -534,7 +559,7 @@ def test_pc_k4_cfi_pair_at_degree_two():
     # The stored row and term counts pin the rows as this engine keeps them
     a, b = twisted_pair(K4, 2)
     ga, gb = to_graph(a), to_graph(b)
-    terms = {None: (34055, 616614), 3: (32695, 607399)}  # at k = 2 and 3, over Q and F_3
+    terms = {None: (34055, 198794), 3: (32695, 198621)}  # at k = 2 and 3, over Q and F_3
     for field in (Q, Field(3)):
         system = encode_iso_poly_colored(ga, gb, field)
         system = PolySystem(field, system.num_vars, [p for p in system.axioms if p.degree <= 2])
@@ -553,7 +578,7 @@ def test_pc_k4_cfi_pair_at_degree_two():
         assert time.monotonic() - start < 60
         assert result.refuted
         rows = result.basis._rows
-        assert len(rows) == 157618
+        assert len(rows) == 77774
         assert sum(len(row) // 2 for row in rows.values()) == terms[field.p][1]
 
 
@@ -641,18 +666,21 @@ def test_monpc_extend_with_linear_extras_matches_cold_start():
 
 
 def test_monpc_k4_cfi_pair_at_degree_three():
-    # the lead set of a span is fixed, so skipping the lifts that other
-    # lifts span keeps the row count; these are the counts of the closure
-    # that lifted every axiom by every monomial.  The stored term counts
-    # pin the rows as this engine keeps them, tails as far as reduced
+    # the row count depends only on the span: the 233,560 dimensions less
+    # the 150,144 monomials of degree <= 3 that are multiples of a conflict
+    # monomial or of an in-span monomial of degree 1 or 2, the quotient
+    # that the closure grows.  The stored term counts pin the rows as this
+    # engine keeps them, tails as far as reduced
     a, b = twisted_pair(K4, 2)
     ga, gb = to_graph(a), to_graph(b)
-    terms = {None: 318550, 3: 316185}  # over Q and over F_3
+    terms = {None: 215022, 3: 214799}  # over Q and over F_3
     for field in (Q, Field(3)):
         result = monpc_saturate(encode_iso_poly_colored(ga, gb, field), 3)
         assert not result.refuted
         rows = result.basis._rows
-        assert len(rows) == 165848
+        assert len(rows) == 83416
+        assert result.basis._count_quotient() == 150144
+        assert result.basis.quotient_size() == 67712
         assert sum(len(row) // 2 for row in rows.values()) == terms[field.p]
         assert result.basis.dimension == 233560
         # the benchmark counts rows and terms through the dict view
@@ -712,6 +740,61 @@ def test_verdicts_invariant_under_variable_relabelling():
                 result = saturate(s, 2)
                 assert not result.refuted
                 assert result.basis.dimension == dimension
+
+
+def _construction_multiples(system, k):
+    """The number of monomials of degree <= k divisible by a single-term
+    axiom of one or two variables, the quotient a closure starts from."""
+    gens = [set(m) for p in system.axioms if len(p.terms) == 1 for m in p.terms if 0 < len(m) <= 2]
+    return sum(any(g <= set(m) for g in gens)
+               for d in range(k + 1) for m in combinations(range(1, system.num_vars + 1), d))
+
+
+def _assert_grown_quotient(basis, construction, ref=None):
+    """No stored row is led by a quotient monomial, and quotient_size()
+    counts the multiples of the construction system's single-term axioms
+    only.  Given a reference closure's rows, every monomial of degree 1 to
+    k - 1 in their span lies in the quotient."""
+    assert not any(basis.in_quotient(lead) for lead in basis._rows)
+    assert basis.quotient_size() == _construction_multiples(construction, basis.k)
+    if ref is None:
+        return
+    ref_basis = Basis(basis.field, basis.k, basis.num_vars)
+    for row in ref.values():
+        ref_basis.insert(row)
+    for d in range(1, basis.k):
+        for m in combinations(range(1, basis.num_vars + 1), d):
+            assert basis.in_quotient(m) == ref_basis.contains({m: 1}), m
+
+
+def test_closures_grow_the_quotient_with_every_spanned_monomial_below_k():
+    # both engines' rules put every multiple of degree <= k of an in-span
+    # monomial of degree 1 to k - 1 in the span, so the closures make each
+    # such monomial a quotient generator and evict the rows its multiples
+    # led; at k = 4 the generators of three variables go in the wide set
+    rng = random.Random(37)
+    references = {"monpc": _reference_monpc, "pc": _reference_pc}
+    for field in (Q, Field(3)):
+        systems = [random_system(rng, num_vars=5, field=field) for _ in range(4)]
+        systems += [_exactly_one_blocks(rng, field) for _ in range(4)]
+        systems += [_mixed_system(rng, field) for _ in range(4)]
+        for system in systems + _wide_monomial_systems(field):
+            for k in (2, 3, 4):
+                if system.num_vars > 6 and k == 4:
+                    continue  # the reference closures grow too slow
+                usable = PolySystem(field, system.num_vars, [p for p in system.axioms if p.degree <= k])
+                for engine, saturate in ENGINES.items():
+                    ref = references[engine](usable, k)
+                    _assert_grown_quotient(saturate(usable, k, True).basis, usable, ref)
+                    early = saturate(usable, k)
+                    _assert_grown_quotient(early.basis, usable, None if early.refuted else ref)
+                base = PolySystem(field, system.num_vars, usable.axioms[:1])
+                for full_closure in (True, False):
+                    warm = monpc_extend(monpc_saturate(base, k, full_closure).basis,
+                                        usable.axioms[1:], full_closure)
+                    _assert_grown_quotient(warm.basis, base,
+                                           None if warm.refuted and not full_closure
+                                           else references["monpc"](usable, k))
 
 
 def test_closures_do_not_read_the_row_view(monkeypatch):
