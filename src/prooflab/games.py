@@ -32,12 +32,16 @@ class ThresholdGame:
         if any(type(x) is not int for x in chain([self.start], self.theta, *self.edges)):
             raise UsageError("the start node, thresholds and edge endpoints must be ints")
         seen = set()
+        succ = [[] for _ in range(self.n)]
         for (v, w) in self.edges:
             if not (0 <= v < self.n and 0 <= w < self.n):
                 raise UsageError(f"edge {(v, w)} outside node range")
             if (v, w) in seen:
                 raise UsageError(f"duplicate edge {(v, w)}")
             seen.add((v, w))
+            succ[v].append(w)
+        # not a field: equality, hashing and repr stay those of the game
+        self._succ = tuple(tuple(sorted(ws)) for ws in succ)
         if len(self.theta) != self.n:
             raise UsageError("theta must assign every node a threshold")
         if not (0 <= self.start < self.n) and self.n > 0:
@@ -51,10 +55,10 @@ class ThresholdGame:
                     f"theta({v}) = {self.theta[v]} exceeds out-degree + 1 = {self.outdeg(v) + 1}")
 
     def successors(self, v: int) -> list:
-        return sorted(w for (u, w) in self.edges if u == v)
+        return list(self._succ[v])
 
     def outdeg(self, v: int) -> int:
-        return sum(1 for (u, _) in self.edges if u == v)
+        return len(self._succ[v])
 
     def _toposort(self) -> list:
         indeg = [0] * self.n

@@ -215,9 +215,11 @@ class Basis:
     led.  A row may then still hold tail terms that entered M after it
     was stored, so remainders are read modulo M.  Generators of one or two
     variables live in one bit table, ``_nbr``; wider ones, which only a
-    closure at k >= 4 grows, in the set ``_wide``.  ``quotient_size()``
-    counts the multiples of the construction generators only;
-    ``dimension`` counts the rows and the whole of M.
+    closure at k >= 4 grows, in the set ``_wide``.  ``_walk`` is the one
+    enumeration of the monomials outside M: the linear lifts, the count of
+    M and ``_grow``'s search for the rows to evict all read it.
+    ``quotient_size()`` counts the multiples of the construction generators
+    only; ``dimension`` counts the rows and the whole of M.
     """
 
     def __init__(self, field: Field, k: int, num_vars: int = 0, quotient: Iterable = ()):
@@ -236,9 +238,9 @@ class Basis:
         self._nbr = [0] * (num_vars + 1)
         self._wide: set = set()  # generators of three or more variables
         self._gens = 0           # generators added, at construction and since
+        self._base = tuple(gens)  # the construction generators, for quotient_size
         for g in gens:
             self._add_generator(g)
-        self._base_nbr = tuple(self._nbr)  # the construction generators, for quotient_size
         self._quotient_size = None
 
     def copy(self) -> "Basis":
@@ -246,7 +248,7 @@ class Basis:
         c._nbr = list(self._nbr)  # a closure of the copy grows its own quotient
         c._wide = set(self._wide)
         c._gens = self._gens
-        c._base_nbr = self._base_nbr
+        c._base = self._base
         c._quotient_size = self._quotient_size
         c._rows = dict(self._rows)  # rows are replaced, never changed in place
         c.lifted = set(self.lifted)
@@ -286,28 +288,12 @@ class Basis:
         Returns what is left of each evicted row once its quotient terms
         are dropped, for the caller to absorb: the span then changes only
         by the multiples of m that it gains.  The rows are found by a walk
-        over the multiples of m or by a scan of the leads, whichever has
-        fewer to visit."""
+        from m or by a scan of the leads, whichever has fewer to visit."""
         if self.in_quotient(m):
             return []
-        rows, k, n, nbr = self._rows, self.k, self.num_vars, self._nbr
+        rows, k, n = self._rows, self.k, self.num_vars
         if sum(comb(n - len(m), e) for e in range(k - len(m) + 1)) < len(rows):
-            # a walk over the multiples that no pair or single generator
-            # divides: only those can lead a row
-            bits = 1 | sum(1 << v for v in m)
-            start = sum(1 << v for v in range(1, n + 1) if not (bits >> v) & 1 and not nbr[v] & bits)
-            leads, stack = [], [(m, start)]
-            while stack:
-                t, cands = stack.pop()
-                if t in rows:
-                    leads.append(t)
-                if len(t) == k:
-                    continue
-                while cands:
-                    low = cands & -cands
-                    cands ^= low
-                    v = low.bit_length() - 1
-                    stack.append((mono_extend(t, v), cands & ~nbr[v]))
+            leads = [t for t, _, _ in self._walk(k, root=m) if t in rows]
         else:
             leads = [lead for lead in rows if all(map(lead.__contains__, m))]
         self._add_generator(m)
@@ -318,27 +304,27 @@ class Basis:
                 left.append(vec)
         return left
 
-    def _walk(self, d: int, base: bool = False):
-        """Yield (m, bits, cands) for the monomials m of degree <= d outside
-        the quotient, by a walk over increasing variable sets.  bits is 1 |
-        sum of 1 << v over v in m; cands has bit v set for the variables v
-        above max(m) with m * v outside the quotient.  With base set, the
-        quotient is that of the construction generators alone."""
-        nbr, wide = (self._base_nbr, ()) if base else (self._nbr, self._wide)
-        n = self.num_vars
-        every = (1 << (n + 1)) - 2  # bits 1..n
-        # partners[v]: variables above v that form no pair generator with v
-        partners = [every & ~((2 << v) - 1) & ~nbr[v] for v in range(n + 1)]
+    def _walk(self, d: int, root: Monomial = ()):
+        """Yield (m, bits, cands) for the multiples m of root of degree <= d
+        outside the quotient, adding one variable at a time, each above the
+        last.  bits is 1 | sum of 1 << v over v in m; cands has bit v for
+        each variable v the walk may still add to m.  From the constant the
+        walk yields each monomial outside the quotient once; from a root it
+        skips only the multiples of the single and pair generators, as it
+        looks for row leads and no quotient monomial leads a row."""
+        nbr, n = self._nbr, self.num_vars
+        bits = 1 | sum(1 << v for v in root)
+        start = sum(1 << v for v in range(1, n + 1) if not (bits >> v) & 1 and not nbr[v] & bits)
         # tails[s]: bits of the last variables of the wide generators whose
         # other variables are s; m + (v,) + (w,) is in the quotient when
         # some s + (v,) inside it has bit w in tails
         tails: dict = {}
-        for g in wide:
-            tails[g[:-1]] = tails.get(g[:-1], 0) | 1 << g[-1]
-        start = sum(1 << v for v in range(1, n + 1) if not nbr[v] & 1)
+        if not root:
+            for g in self._wide:
+                tails[g[:-1]] = tails.get(g[:-1], 0) | 1 << g[-1]
         # an explicit stack: a recursive closure would keep this basis in a
         # reference cycle, alive until the cyclic collector runs
-        stack = [((), 1, start)]
+        stack = [(root, bits, start)]
         while stack:
             m, bits, cands = stack.pop()
             yield m, bits, cands
@@ -349,26 +335,19 @@ class Basis:
                 low = rest & -rest
                 rest ^= low
                 v = low.bit_length() - 1
-                below = cands & partners[v]
+                below = rest & ~nbr[v]
                 if tails:
                     for e in range(1, len(m) + 1):
                         for s in combinations(m, e):
                             below &= ~tails.get(s + (v,), 0)
-                stack.append((m + (v,), bits | low, below))
+                stack.append((mono_extend(m, v), bits | low, below))
 
-    def free_monomials(self, d: int) -> list:
-        """The monomials of degree <= d outside the quotient, as (m, bits)
-        pairs as in _walk, in graded lex order from the constant up."""
-        return sorted(((m, bits) for m, bits, _ in self._walk(d)),
-                      key=lambda mb: mono_key(mb[0]))
-
-    def _count_quotient(self, base: bool = False) -> int:
-        """Number of monomials of degree <= k in the quotient, or with base
-        set in that of the construction generators."""
+    def _count_quotient(self) -> int:
+        """Number of monomials of degree <= k in the quotient."""
         k = self.k
         size = sum(comb(self.num_vars, d) for d in range(k + 1))
         # the degree-k leaves below m are m + (v,) for v in cands
-        for m, _, cands in self._walk(k - 1, base):
+        for m, _, cands in self._walk(k - 1):
             size -= 1 + (cands.bit_count() if len(m) == k - 1 else 0)
         return size
 
@@ -377,7 +356,8 @@ class Basis:
         generators given at construction; those a closure grows are
         counted in ``dimension`` only."""
         if self._quotient_size is None:
-            self._quotient_size = self._count_quotient(base=True) if any(self._base_nbr) else 0
+            self._quotient_size = (Basis(self.field, self.k, self.num_vars, self._base)._count_quotient()
+                                   if self._base else 0)
         return self._quotient_size
 
     @property
@@ -388,9 +368,7 @@ class Basis:
         of degree <= k, whether or not its closure stopped early."""
         if self.refuted:
             return sum(comb(self.num_vars, d) for d in range(self.k + 1))
-        if not self._gens:
-            return len(self._rows)
-        return len(self._rows) + self._count_quotient()
+        return len(self._rows) + (self._count_quotient() if self._gens else 0)
 
     @property
     def refuted(self) -> bool:
@@ -503,6 +481,11 @@ class Basis:
         return dict(vec)
 
     def contains(self, vec) -> bool:
+        """Does vec, checked as by insert, lie in the span of the stored rows
+        and the quotient?  A closure that stopped at its refutation holds
+        less than its dimension counts: on 3 variables with X1 - 1 and X1
+        at k = 2 its dimension is 7, yet X2 is not contained, as it is after
+        full_closure=True."""
         # at _TAIL_DEPTH rows are used as stored: a query replaces none of them
         return self._spans(self._normalize(self._checked(vec)), _TAIL_DEPTH)
 
@@ -664,7 +647,8 @@ def _lift_linear(basis: Basis, roots: list):
     for root in roots:
         echelon._absorb(basis._normalize(dict(root)))
     rows = sorted(echelon._rows.values(), key=lambda row: mono_key(row[0]))
-    free = basis.free_monomials(k - 1)
+    # the lift monomials outside the quotient, in graded lex order
+    free = sorted(((m, bits) for m, bits, _ in basis._walk(k - 1)), key=lambda mb: mono_key(mb[0]))
     listed = basis._gens  # the generators when free was listed
     earlier = 0  # bits of the leads of the rows already lifted
     for row in rows:
@@ -740,20 +724,13 @@ def _rounds(basis: Basis, every_row: bool):
                 yield vec
 
 
-def _monpc_rounds(basis: Basis):
-    return _rounds(basis, False)
-
-
-def _pc_rounds(basis: Basis):
-    return _rounds(basis, True)
-
-
-def _close(system: PolySystem, k: int, rounds, full_closure: bool,
+def _close(system: PolySystem, k: int, every_row: bool, full_closure: bool,
            basis: Optional[Basis] = None) -> SaturationResult:
     """Check the system, then absorb into the basis each vector that the
-    axiom lifts and then the engine's rounds yield, as soon as it is
+    axiom lifts and then _rounds(basis, every_row) yield, as soon as it is
     yielded: a round reads the basis as the absorbs before it left it.
-    Unless full_closure is set, stop once the basis is refuted.
+    every_row is True for full PC and False for monomial PC.  Unless
+    full_closure is set, stop once the basis is refuted.
 
     A fresh basis takes as its quotient the single-term axioms of one or
     two variables (for an isomorphism system, the conflict monomials): in
@@ -770,7 +747,7 @@ def _close(system: PolySystem, k: int, rounds, full_closure: bool,
         quotient = [m for p in system.axioms if len(p.terms) == 1 for m in p.terms if len(m) <= 2]
         basis = Basis(system.field, k, system.num_vars, quotient)
     rows, absorb, grow = basis._rows, basis._absorb, basis._grow
-    for vec in chain(_lift_axioms(basis, system.axioms), rounds(basis)):
+    for vec in chain(_lift_axioms(basis, system.axioms), _rounds(basis, every_row)):
         todo = [vec]
         while todo:
             vec = todo.pop()
@@ -780,12 +757,9 @@ def _close(system: PolySystem, k: int, rounds, full_closure: bool,
                     todo += grow(m)
                     continue
             m = absorb(vec)
-            if m is None:
-                continue
-            if not m:  # the constant: refuted
-                if not full_closure:
-                    break
-            elif len(m) < k and len(rows[m]) == 2:
+            if m == () and not full_closure:
+                break  # the constant: refuted
+            if m and len(m) < k and len(rows[m]) == 2:
                 todo += grow(m)
         if not full_closure and basis.refuted:
             break
@@ -807,7 +781,7 @@ def monpc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> Sa
     single-term axioms of one or two variables; its dimension counts the
     rows and the whole grown quotient.
     """
-    return _close(system, k, _monpc_rounds, full_closure)
+    return _close(system, k, False, full_closure)
 
 
 def monpc_extend(basis: Basis, extra_axioms: list, full_closure: bool = False) -> SaturationResult:
@@ -821,7 +795,7 @@ def monpc_extend(basis: Basis, extra_axioms: list, full_closure: bool = False) -
     system from scratch.
     """
     return _close(PolySystem(basis.field, basis.num_vars, list(extra_axioms)), basis.k,
-                  _monpc_rounds, full_closure, basis.copy())
+                  False, full_closure, basis.copy())
 
 
 def pc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> SaturationResult:
@@ -841,7 +815,7 @@ def pc_saturate(system: PolySystem, k: int, full_closure: bool = False) -> Satur
     Over Q the K4 CFI pair's colour-restricted system closes at k = 2 in
     0.3 s, not refuted, and refutes at k = 3 in 1-2 s.
     """
-    return _close(system, k, _pc_rounds, full_closure)
+    return _close(system, k, True, full_closure)
 
 
 ENGINES = {"monpc": monpc_saturate, "pc": pc_saturate}

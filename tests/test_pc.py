@@ -330,6 +330,21 @@ def test_queries_and_inserts_check_their_monomials():
         assert not basis.contains({(3,): 1, (): 1})
 
 
+def test_contains_reads_the_span_as_stored():
+    # a closure that stops at its refutation counts the whole space in its
+    # dimension, but contains reads only the rows and quotient it holds:
+    # X1 - 1 and X1 refute in the axiom lifts, and only the full closure
+    # goes on to lift the constant row and put X2 in the span
+    system = PolySystem(Q, 3, [P([((1,), 1), ((), -1)]), P([((1,), 1)])])
+    for saturate in ENGINES.values():
+        early = saturate(system, 2).basis
+        full = saturate(system, 2, full_closure=True).basis
+        assert early.refuted and full.refuted
+        assert early.dimension == full.dimension == 7
+        assert not early.contains({(2,): 1})
+        assert full.contains({(2,): 1})
+
+
 def test_monpc_extend_rejects_bad_axioms():
     # base closures over variables 1..3 at k = 2, with a quotient ({X1 X2}) and without
     for base_axioms in ([P([((1, 2), 1)])], [P([((1,), 1), ((2,), 1)])]):
@@ -817,3 +832,84 @@ def test_closures_do_not_read_the_row_view(monkeypatch):
                 assert (warm.refuted, warm.basis.dimension) == (cold.refuted, cold.basis.dimension)
             for engine in ENGINES:
                 assert list(degree_sweep(system, engine, 3))
+
+
+def _random_generators(rng, n, k):
+    """Random single and pair generators, and wide ones of three to k
+    variables, over variables 1..n."""
+    small = [(v,) for v in rng.sample(range(1, n + 1), rng.randint(0, 2))]
+    small += [tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(rng.randint(0, 4))]
+    wide = [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(3, k))))
+            for _ in range(rng.randint(0, 3) if k >= 3 else 0)]
+    return small, wide
+
+
+def _divides(gens, m):
+    return any(set(g) <= set(m) for g in gens)
+
+
+def _basis_with(n, k, small, wide):
+    basis = Basis(Q, k, n, small)
+    for g in wide:
+        basis._add_generator(g)
+    return basis
+
+
+def test_walk_matches_brute_force():
+    # from the constant the walk yields each monomial of degree <= d
+    # outside the quotient once, with its bits and the variables above it
+    # that keep it outside; from a root m outside the quotient it yields
+    # each multiple of m of degree <= k that no single or pair generator
+    # divides, a wide one dividing it or not
+    rng = random.Random(38)
+    n, wide_seen = 7, 0
+    for _ in range(60):
+        k = rng.randint(2, 4)
+        small, wide = _random_generators(rng, n, k)
+        wide_seen += bool(wide)
+        basis = _basis_with(n, k, small, wide)
+        every = [m for d in range(k + 1) for m in combinations(range(1, n + 1), d)]
+        outside = [m for m in every if not _divides(small + wide, m)]
+        for d in range(k + 1):
+            walked = list(basis._walk(d))
+            assert sorted(m for m, _, _ in walked) == sorted(m for m in outside if len(m) <= d)
+            for m, bits, cands in walked:
+                assert bits == 1 | sum(1 << v for v in m)
+                above = range(max(m, default=0) + 1, n + 1)
+                assert cands == sum(1 << v for v in above if not _divides(small + wide, m + (v,)))
+        for root in outside:
+            if not 0 < len(root) < k:
+                continue
+            multiples = [m for m in every if set(root) <= set(m) and not _divides(small, m)]
+            assert sorted(m for m, _, _ in basis._walk(k, root)) == sorted(multiples)
+    assert wide_seen >= 20
+
+
+def test_grow_evicts_the_rows_its_multiples_led():
+    # _grow finds the rows to evict by a walk from m when that visits fewer
+    # monomials than there are rows, and by a scan of the leads otherwise;
+    # either way it evicts exactly the rows led by multiples of m and hands
+    # back their tails less the quotient terms
+    rng = random.Random(39)
+    n, sides = 6, set()
+    for _ in range(80):
+        k = rng.randint(2, 4)
+        small, wide = _random_generators(rng, n, k)
+        basis = _basis_with(n, k, small, wide)
+        every = [m for d in range(k + 1) for m in combinations(range(1, n + 1), d)]
+        for _ in range(rng.randint(2, 60)):
+            basis.insert({m: rng.choice([-2, -1, 1, 2]) for m in rng.sample(every, rng.randint(1, 4))})
+        roots = [m for m in every if 0 < len(m) < k and not basis.in_quotient(m)]
+        if not roots:
+            continue
+        m = rng.choice(roots)
+        rows = dict(basis._rows)
+        sides.add(sum(comb(n - len(m), e) for e in range(k - len(m) + 1)) < len(rows))
+        left = basis._grow(m)
+        evicted = [lead for lead in rows if set(m) <= set(lead)]
+        assert basis.in_quotient(m)
+        assert set(basis._rows) == set(rows) - set(evicted)
+        tails = [{t: c for t, c in zip(rows[lead][2::2], rows[lead][3::2]) if not basis.in_quotient(t)}
+                 for lead in evicted]
+        assert sorted(sorted(vec.items()) for vec in left) == sorted(sorted(vec.items()) for vec in tails if vec)
+    assert sides == {True, False}
