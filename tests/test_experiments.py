@@ -3,6 +3,7 @@ import os
 import pytest
 
 from prooflab.algebra import Field, RATIONALS
+from prooflab.cfi import BASE_LIBRARY, to_graph, twisted_pair
 from prooflab.errors import UsageError
 from prooflab.experiments import (calibration_pairs, experiment_csp_sweep,
                                   experiment_degree_growth, experiment_wl_calibrate,
@@ -44,21 +45,23 @@ def test_degree_growth_rejects_bad_inputs():
 
 
 def test_degree_growth_timed_out_row_keeps_wl_dim():
-    # encoding and 1-WL on the K4 pair take well under a second; the
-    # degree-4 closure takes far longer than the timeout
-    (row,) = experiment_degree_growth(["k4"], k_max=4, dim_max=1, timeout_s=5.0)
+    # encoding and 1-WL on the prism pair take well under a second; its
+    # degree-4 closure takes far longer than the timeout (about 100 s on a
+    # 2-core machine, where the K4 pair's takes under 2 s)
+    (row,) = experiment_degree_growth(["prism"], k_max=4, dim_max=1, timeout_s=5.0)
     assert row["status"] == "timeout"
     assert "wl_dim" in row and row["wl_dim"] is None
     assert row["min_degree"] is None and row["k_checked"] < 4
 
 
 def test_wl_calibrate_timed_out_row_keeps_wl_dim():
-    # as for degree growth: 1-WL on the K4 pair is quick, its degree-4
+    # as for degree growth: 1-WL on the prism pair is quick, its degree-4
     # closure takes far longer than the timeout
-    pairs = [p for p in calibration_pairs() if p[0] == "cfi_k4_twisted"]
+    a, b = twisted_pair(BASE_LIBRARY["prism"], 2)
+    pairs = [("cfi_prism_twisted", to_graph(a), to_graph(b), True)]
     report = experiment_wl_calibrate(k_max=4, dim_max=1, timeout_s=5.0, pairs=pairs)
     (row,) = report["rows"]
-    assert row["status"] == "timeout" and row["pair"] == "cfi_k4_twisted"
+    assert row["status"] == "timeout" and row["pair"] == "cfi_prism_twisted"
     assert "wl_dim" in row and row["wl_dim"] is None
     assert row["min_degree"] is None and row["k_checked"] < 4
     assert report["offsets"] == [] and report["c"] is None

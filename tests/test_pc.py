@@ -8,6 +8,7 @@ from math import comb, gcd
 import pytest
 
 from conftest import poly_system_has_boolean_zero
+from prooflab import pc
 from prooflab.algebra import Field, Matrix, RATIONALS, Vector, compress_image, gauss_solve
 from prooflab.cfi import K4, to_graph, twisted_pair
 from prooflab.encoders import encode_iso_poly_colored
@@ -574,7 +575,7 @@ def test_pc_k4_cfi_pair_at_degree_two():
     # The stored row and term counts pin the rows as this engine keeps them
     a, b = twisted_pair(K4, 2)
     ga, gb = to_graph(a), to_graph(b)
-    terms = {None: (34055, 198794), 3: (32695, 198621)}  # at k = 2 and 3, over Q and F_3
+    terms = {None: (34055, 196261), 3: (32695, 196080)}  # at k = 2 and 3, over Q and F_3
     for field in (Q, Field(3)):
         system = encode_iso_poly_colored(ga, gb, field)
         system = PolySystem(field, system.num_vars, [p for p in system.axioms if p.degree <= 2])
@@ -688,7 +689,7 @@ def test_monpc_k4_cfi_pair_at_degree_three():
     # engine keeps them, tails as far as reduced
     a, b = twisted_pair(K4, 2)
     ga, gb = to_graph(a), to_graph(b)
-    terms = {None: 215022, 3: 214799}  # over Q and over F_3
+    terms = {None: 213124, 3: 212881}  # over Q and over F_3
     for field in (Q, Field(3)):
         result = monpc_saturate(encode_iso_poly_colored(ga, gb, field), 3)
         assert not result.refuted
@@ -810,6 +811,76 @@ def test_closures_grow_the_quotient_with_every_spanned_monomial_below_k():
                     _assert_grown_quotient(warm.basis, base,
                                            None if warm.refuted and not full_closure
                                            else references["monpc"](usable, k))
+
+
+def _recording_propagation(monkeypatch):
+    """Make the closures record, in the returned list, each monomial that
+    the propagation phase yields, and check when the phase ends that no
+    stored row is led by a quotient monomial."""
+    yielded = []
+    propagate = pc._propagate
+
+    def recording(basis, roots):
+        for vec in propagate(basis, roots):
+            yielded.extend(vec)
+            yield vec
+        assert not any(map(basis.in_quotient, basis._rows))
+
+    monkeypatch.setattr(pc, "_propagate", recording)
+    return yielded
+
+
+def test_propagated_monomials_lie_in_the_reference_spans(monkeypatch):
+    # the propagation phase puts m in the quotient when one linear axiom's
+    # lift by m is a nonzero multiple of m modulo the quotient; each such m
+    # must lie in the span of both reference closures, which lift every
+    # axiom by every monomial and know no propagation
+    yielded = _recording_propagation(monkeypatch)
+    rng = random.Random(40)
+    found = set()
+    for field in (Q, Field(3)):
+        systems = [random_system(rng, num_vars=5, field=field) for _ in range(6)]
+        systems += [_exactly_one_blocks(rng, field) for _ in range(6)]
+        systems += [_mixed_system(rng, field) for _ in range(6)]
+        for system in systems:
+            for k in (2, 3, 4):
+                usable = PolySystem(field, system.num_vars, [p for p in system.axioms if p.degree <= k])
+                yielded.clear()
+                monpc_saturate(usable, k, full_closure=True)
+                pc_saturate(usable, k, full_closure=True)
+                if not yielded:
+                    continue
+                for reference in (_reference_monpc, _reference_pc):
+                    ref_basis = Basis(field, k, system.num_vars)
+                    for row in reference(usable, k).values():
+                        ref_basis.insert(row)
+                    for m in yielded:
+                        assert 0 < len(m) < k and ref_basis.contains({m: 1}), m
+                found.update(len(m) for m in yielded)
+    assert found == {1, 2, 3}
+
+
+def test_propagated_generator_evicts_the_rows_its_multiples_led(monkeypatch):
+    # the base stores rows led by multiples of X1; X2 - 1 next to the
+    # conflict X1 X2 gives X1 (X2 - 1) = -X1 modulo the quotient, so the
+    # extension's propagation phase makes X1 a generator, and the closure
+    # must evict those rows, or its rounds would lift them for ever
+    yielded = _recording_propagation(monkeypatch)
+    for field in (Q, Field(3)):
+        axioms = [P([((1, 2), 1)], field), P([((1, 3), 1), ((4,), -1)], field)]
+        base = monpc_saturate(PolySystem(field, 4, axioms), 3, full_closure=True).basis
+        led = [lead for lead in base._rows if 1 in lead]
+        assert led and not base.in_quotient((1,))
+        extra = [P([((2,), 1), ((), -1)], field)]
+        yielded.clear()
+        warm = monpc_extend(base, extra, full_closure=True).basis
+        assert (1,) in yielded and warm.in_quotient((1,))
+        assert not any(lead in warm._rows for lead in led)
+        assert not any(warm.in_quotient(lead) for lead in warm._rows)
+        cold = monpc_saturate(PolySystem(field, 4, axioms + extra), 3, full_closure=True)
+        assert warm.dimension == cold.basis.dimension
+        for poly in cold.basis.polynomials():
+            assert warm.contains(poly)
 
 
 def test_closures_do_not_read_the_row_view(monkeypatch):
