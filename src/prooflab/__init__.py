@@ -5,7 +5,7 @@ with CFI/isomorphism/game/CSP instance encoders and experiment drivers."""
 from .algebra import Field, Matrix, RATIONALS, Vector, compress_image, gauss_solve, \
     gram_solvable, kernel_generators, orbit_solve
 from .cfi import BASE_LIBRARY, CfiBase, CfiStructure, apply_shift, automorphism_space, \
-    build_cfi, cfi_isomorphic, coordinate_orbits, to_graph, twisted_pair
+    build_cfi, cfi_isomorphic, coordinate_orbits, to_graph, treewidth, twisted_pair
 from .encoders import encode_iso_cnf, encode_iso_poly, encode_iso_poly_colored, \
     encode_kconsistency_cnf, encode_nonreach, k_consistency
 from .errors import DegreeOverflowError, UnsupportedFieldError, UsageError

@@ -211,6 +211,44 @@ def twisted_pair(base: CfiBase, p: int) -> tuple:
     return build_cfi(base, p, zero), build_cfi(base, p, twisted)
 
 
+def treewidth(base) -> int:
+    """Exact treewidth of a graph given by `n` and `edges` (pairs of
+    vertices in range(n)), such as a CfiBase.
+
+    The subset recurrence of Bodlaender, Fomin, Koster, Kratsch and
+    Thilikos (2006): TW(S) = min over v in S of max(TW(S - v), |Q(S - v,
+    v)|), where Q(S, v) holds the vertices outside S + v that v reaches
+    through S, and the treewidth is TW(V). Time and memory grow as 2^n,
+    so it is meant for base graphs of a few dozen vertices at most.
+    """
+    n = base.n
+    nbr = [0] * n
+    for e in base.edges:
+        u, v = tuple(e)
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+
+    def q(s: int, v: int) -> int:
+        seen = frontier = 1 << v
+        while frontier:
+            x = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = nbr[x] & ~seen
+            seen |= new
+            frontier |= new & s
+        return bin(seen & ~s).count("1") - 1
+
+    tw = [-1] * (1 << n)  # TW of the empty set; every other entry is set below
+    for s in range(1, 1 << n):
+        rest, best = s, n
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            best = min(best, max(tw[s ^ bit], q(s ^ bit, bit.bit_length() - 1)))
+        tw[s] = best
+    return tw[-1]
+
+
 def coordinate_orbits(s: CfiStructure, aut: AutSpace) -> list:
     """Partition of the universe into automorphism orbits.
 

@@ -3,8 +3,11 @@
 dim-tuple refinement with a shared color palette across the two input
 graphs; `dim` counts tuple arity, so dim-1 is classic color refinement.
 A tuple's first color is its atomic type. Between rounds each graph keeps
-its n^dim colors and one n x n pair-code table, which the rounds read at
-dim 1 only.
+its n^dim colors and one n x n pair-code table. At dim 1 a round reads the
+pair codes and sorts one triple per vertex w; at dim >= 2 it reads only
+the colors, builds dim scaled copies of the color list, and sorts one
+integer per substituted vertex w, the substituted colors read as the
+digits of one number.
 The correspondence with counting logic carries the usual offset of one
 variable; the experiment harness calibrates that constant empirically
 instead of hard-coding it.
@@ -13,7 +16,9 @@ instead of hard-coding it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import product
+from operator import add
 from typing import Optional
 
 from .errors import UsageError, malformed_input
@@ -106,6 +111,20 @@ def wl_distinguishes(g: ColoredGraph, h: ColoredGraph, dim: int = 1) -> bool:
     substituted colors, and both signatures split both graphs' tuples the
     same way in every round: the same verdicts after as many rounds. For
     dim = 1 the substituted color is w's own, so the pattern is added.
+
+    For dim >= 2 the multiset holds one integer per w, not a tuple of
+    colors: with every color in range(ncol), ncol the joint number of
+    colors when the round starts, the colors (c_0, ..., c_{dim-1}) of
+    t[w/0], ..., t[w/dim-1] become sum c_j * ncol^(dim-1-j). That is
+    reading them as the digits of a base-ncol number, a bijection from
+    color vectors onto range(ncol^dim) that orders integers as
+    lexicographic order orders the vectors. So two tuples get equal keys
+    exactly when they have equal multisets of color tuples, the keys are
+    numbered in the same first-seen order, and `_recolor` builds the same
+    palette: every round's colors are those that tuple keys give. Sorting
+    integers is the gain: CPython compares ints below 2^30 on a fast path,
+    which holds at dim 2 while ncol < 32,768; past that the keys stay
+    exact, and only the sort is slower.
     """
     if dim < 1:
         raise UsageError("dimension must be >= 1")
@@ -120,13 +139,16 @@ def wl_distinguishes(g: ColoredGraph, h: ColoredGraph, dim: int = 1) -> bool:
         return [tuple(x.colors[v] for v in t) + tuple(code[t[a]][t[b]] for a, b in offdiag)
                 for t in product(range(n), repeat=dim)]
 
-    def signatures(col: list, code: list, multisets: dict) -> list:
+    def signatures(col: list, code: list, multisets: dict, ncol: int) -> list:
         """(own color, id of the multiset around the tuple) per tuple; the
-        ids come from `multisets`, which both graphs share in a round."""
+        ids come from `multisets`, which both graphs share in a round, and
+        every color lies in range(ncol)."""
         if dim == 1:  # w's own color says nothing about u and w: add their pair codes
             keys = (zip(row, column, col) for row, column in zip(code, zip(*code)))
         else:
-            keys = (zip(*(col[i - v * s:i + (n - v) * s:s] for v, s in zip(t, strides)))
+            scaled = [[c * ncol ** (dim - 1 - j) for c in col] for j in range(dim)]
+            keys = (reduce(partial(map, add), (x[i - v * s:i + (n - v) * s:s]
+                                               for x, v, s in zip(scaled, t, strides)))
                     for i, t in enumerate(product(range(n), repeat=dim)))
         return [(c, multisets.setdefault(tuple(sorted(key)), len(multisets)))
                 for c, key in zip(col, keys)]
@@ -135,8 +157,8 @@ def wl_distinguishes(g: ColoredGraph, h: ColoredGraph, dim: int = 1) -> bool:
     col_g, col_h, count = _recolor(atoms(g, code_g), atoms(h, code_h))
     while sorted(col_g) == sorted(col_h):
         multisets: dict = {}
-        col_g, col_h, new = _recolor(signatures(col_g, code_g, multisets),
-                                     signatures(col_h, code_h, multisets))
+        col_g, col_h, new = _recolor(signatures(col_g, code_g, multisets, count),
+                                     signatures(col_h, code_h, multisets, count))
         if new == count:
             # a signature holds the tuple's own color, so refinement only
             # splits classes; an unchanged count means nothing split and the

@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from collections import namedtuple
+from itertools import permutations, product
 
 import pytest
 
@@ -7,7 +8,8 @@ from conftest import brute_colored_iso
 from prooflab.cfi import (AutSpace, BASE_LIBRARY, CfiBase, K4, apply_shift,
                           automorphism_space, build_cfi, cfi_isomorphic,
                           coordinate_orbits, format_base_graph, parse_base_graph,
-                          shift_point_map, to_graph, to_rel_structure, twisted_pair)
+                          shift_point_map, to_graph, to_rel_structure, treewidth,
+                          twisted_pair)
 from prooflab.errors import UsageError
 
 
@@ -166,6 +168,46 @@ def test_to_graph_separates_non_isomorphic_structures():
     # control: isomorphic loads give isomorphic graphs
     c = build_cfi(K4, 2, [1, 1, 0, 0])
     assert brute_colored_iso(to_graph(a), to_graph(c))
+
+
+Graph = namedtuple("Graph", "n edges")
+
+
+def _elimination_width(n, edges):
+    """Treewidth as the least, over every vertex order, of the largest
+    number of later neighbours a vertex has when it is eliminated (its
+    neighbours made a clique): an oracle independent of the subset DP."""
+    best = n - 1
+    for order in permutations(range(n)):
+        nbr = {v: set() for v in range(n)}
+        for u, v in edges:
+            nbr[u].add(v)
+            nbr[v].add(u)
+        width = 0
+        for v in order:
+            later = nbr.pop(v)
+            width = max(width, len(later))
+            for u in later:
+                nbr[u] |= later - {u}
+                nbr[u].discard(v)
+        best = min(best, width)
+    return best
+
+
+def test_treewidth():
+    assert [treewidth(BASE_LIBRARY[b]) for b in ("k4", "prism", "cube", "petersen")] == [3, 3, 3, 4]
+    assert treewidth(Graph(6, [(i, i + 1) for i in range(5)])) == 1
+    assert treewidth(Graph(7, [(i, (i + 1) % 7) for i in range(7)])) == 2
+    for n in range(1, 8):
+        assert treewidth(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])) == n - 1
+    grid = [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
+    grid += [(3 * r + c, 3 * r + c + 3) for r in range(2) for c in range(3)]
+    assert treewidth(Graph(9, grid)) == 3
+    rng = random.Random(61)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        assert treewidth(Graph(n, edges)) == _elimination_width(n, edges), (n, edges)
 
 
 def test_coordinate_orbits_k4():

@@ -9,6 +9,7 @@ from conftest import brute_colored_iso
 from prooflab.cfi import BASE_LIBRARY, to_graph, twisted_pair
 from prooflab.errors import UsageError
 from prooflab.experiments import calibration_pairs
+from prooflab import wl
 from prooflab.wl import ColoredGraph, parse_colored_graph, wl_distinguishes, wl_sweep
 
 
@@ -125,11 +126,13 @@ def test_non_integer_colors_and_vertices_rejected():
         ColoredGraph(2.0, None, {})
 
 
-def _reference_wl(g, h, dim):
+def _reference_wl(g, h, dim, counts=None):
     """The refinement as first written: per-tuple frozenset membership
     tests for the atoms and extension patterns, a tuple-to-index dict for
     the substitutions and a final recount of the histograms. An oracle for
-    the pair-code tables and strided substitutions of wl_distinguishes."""
+    the pair-code tables, strided substitutions and integer multiset keys
+    of wl_distinguishes. A list passed as `counts` receives the joint
+    number of colors of the atoms and after each round."""
     rels = sorted(set(g.relations) | set(h.relations))
 
     def atom(x, tup):
@@ -172,6 +175,8 @@ def _reference_wl(g, h, dim):
         palette = {}
         for sig in sorted(set(sigs[0]) | set(sigs[1])):
             palette.setdefault(sig, len(palette))
+        if counts is not None:
+            counts.append(len(palette))
         return [palette[s] for s in sigs[0]], [palette[s] for s in sigs[1]]
 
     (init_g, subs_g), (init_h, subs_h) = tables(g), tables(h)
@@ -232,7 +237,27 @@ def _rook_and_shrikhande():
             ColoredGraph(16, None, {"E": oracles.shrikhande_edges()}))
 
 
-def test_agrees_with_reference_refinement():
+@pytest.fixture
+def round_counts(monkeypatch):
+    """The joint number of colors that every _recolor call returns, atoms
+    first, in a list that a test clears before each refinement."""
+    counts = []
+    recolor = wl._recolor
+
+    def recording(sigs_g, sigs_h):
+        col_g, col_h, count = recolor(sigs_g, sigs_h)
+        assert count == len(set(col_g) | set(col_h))
+        counts.append(count)
+        return col_g, col_h, count
+
+    monkeypatch.setattr(wl, "_recolor", recording)
+    return counts
+
+
+def test_agrees_with_reference_refinement(round_counts):
+    """Equal verdicts, and equal joint color counts after the atoms and
+    after every round: the pair codes and the integer multiset keys split
+    the tuples as the reference's signatures do, round by round."""
     rng = random.Random(53)
     pairs = [(g, h) for _, g, h, _ in calibration_pairs(False)]
     for _ in range(60):
@@ -249,7 +274,18 @@ def test_agrees_with_reference_refinement():
     pairs.append(_rook_and_shrikhande())
     for g, h in pairs:
         for dim in (1, 2, 3):
-            assert wl_distinguishes(g, h, dim) == _reference_wl(g, h, dim), (g, h, dim)
+            round_counts.clear()
+            want = []
+            assert wl_distinguishes(g, h, dim) == _reference_wl(g, h, dim, want), (g, h, dim)
+            assert round_counts == want, (g, h, dim)
+
+
+def test_round_counts_on_cfi_pairs(round_counts):
+    for base, want in (("k4", [308, 340, 352, 352]), ("prism", [654, 702, 720, 720])):
+        a, b = twisted_pair(BASE_LIBRARY[base], 2)
+        round_counts.clear()
+        assert not wl_distinguishes(to_graph(a), to_graph(b), 2)
+        assert round_counts == want, base
 
 
 def test_cfi_pair_verdicts_stable_under_relabelling():
